@@ -84,7 +84,7 @@ let test_dbt_find =
   Test.make ~name:"disk_btree.find(100k)"
     (Staged.stage (fun () ->
          i := (!i + 7919) mod 100_000;
-         ignore (Dbt.find env t (!i * 2))))
+         ignore (Dbt.find_pos env t (!i * 2))))
 
 let test_dbt_cursor =
   let env, t = disk_tree () in
@@ -93,7 +93,7 @@ let test_dbt_cursor =
   Test.make ~name:"disk_btree.cursor_find(ascending)"
     (Staged.stage (fun () ->
          i := (!i + 3) mod 100_000;
-         ignore (Dbt.Cursor.find env c (!i * 2))))
+         ignore (Dbt.Cursor.find_pos env c (!i * 2))))
 
 let test_lsm_write =
   Test.make ~name:"lsm.write+flush(1k)"

@@ -211,9 +211,9 @@ let serve_cmd =
   let chaos_arg =
     let doc =
       "Chaos fault plan: scheduled partition faults interpreted on the \
-       arrival clock (e.g. $(b,crash\\@p2\\@t150ms); \
-       $(b,io\\@p0\\@t50ms+40ms!6); $(b,slow\\@p3\\@t60ms+50ms*8); \
-       $(b,corrupt\\@p1\\@t80ms)).  Repeatable; elements may also be \
+       arrival clock (e.g. $(b,crash@p2@t150ms); \
+       $(b,io@p0@t50ms+40ms!6); $(b,slow@p3@t60ms+50ms*8); \
+       $(b,corrupt@p1@t80ms)).  Repeatable; elements may also be \
        ';'-separated.  Runs against the durable (WAL-wrapped) cluster \
        with the degraded-correctness checker on."
     in

@@ -5,6 +5,14 @@
 set -eux
 
 dune build @all
+
+# --- examples ----------------------------------------------------------
+# `@all` builds every example; run each one so a broken example fails CI
+# instead of only compiling.
+for ex in _build/default/examples/*.exe; do
+  "$ex" > /dev/null
+done
+
 dune runtest
 
 # --- crash + resilience gate -------------------------------------------

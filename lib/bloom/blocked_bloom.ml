@@ -22,24 +22,29 @@ let create ~expected ~fpr =
   let nblocks = max 1 ((m + block_bits - 1) / block_bits) in
   { bits = Lsm_util.Bitset.create (nblocks * block_bits); nblocks; k }
 
-let block_of t h = Hashing.mix64 h land max_int mod t.nblocks
-
-let position t h i =
-  let base = block_of t h * block_bits in
-  base + (Hashing.double_hash h (i + 1) land max_int mod block_bits)
+(* Bit [i]: block [mix64 h], in-block offset [double_hash h (i + 1)]. *)
+let position t h1 h2 i =
+  (h1 land max_int mod t.nblocks * block_bits)
+  + ((h1 + ((i + 1) * h2)) land max_int mod block_bits)
 
 (** [add t h] inserts a key by its hash. *)
 let add t h =
+  let h1 = Hashing.mix64 h and h2 = Hashing.step h in
   for i = 0 to t.k - 1 do
-    Lsm_util.Bitset.set t.bits (position t h i)
+    Lsm_util.Bitset.set t.bits (position t h1 h2 i)
   done
 
 (** [contains t h] is [false] only if the key was never added. *)
 let contains t h =
-  let rec go i = i >= t.k || (Lsm_util.Bitset.get t.bits (position t h i) && go (i + 1)) in
-  go 0
+  let h1 = Hashing.mix64 h and h2 = Hashing.step h in
+  let i = ref 0 in
+  while !i < t.k && Lsm_util.Bitset.get t.bits (position t h1 h2 !i) do
+    incr i
+  done;
+  !i >= t.k
 
 let k t = t.k
+let bits t = t.bits
 let bit_count t = t.nblocks * block_bits
 let byte_size t = Lsm_util.Bitset.byte_size t.bits
 

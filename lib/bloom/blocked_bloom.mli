@@ -15,6 +15,7 @@ val contains : t -> int -> bool
 
 val k : t -> int
 val bit_count : t -> int
+val bits : t -> Lsm_util.Bitset.t (* the bit array, read-only *)
 val byte_size : t -> int
 
 val cache_lines_per_probe : t -> int

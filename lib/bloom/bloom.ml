@@ -30,22 +30,28 @@ let create ~expected ~fpr =
   let m, k = params ~expected ~fpr in
   { bits = Lsm_util.Bitset.create m; m; k }
 
-let position t h i =
-  Hashing.double_hash h i land max_int mod t.m
+(* Bit [i] of a probe, from the hash-once bases: [double_hash h i]. *)
+let position t h1 h2 i = (h1 + (i * h2)) land max_int mod t.m
 
 (** [add t h] inserts a key by its hash. *)
 let add t h =
+  let h1 = Hashing.mix64 h and h2 = Hashing.step h in
   for i = 0 to t.k - 1 do
-    Lsm_util.Bitset.set t.bits (position t h i)
+    Lsm_util.Bitset.set t.bits (position t h1 h2 i)
   done
 
 (** [contains t h] is [false] only if the key was never added; [true] may
     be a false positive. *)
 let contains t h =
-  let rec go i = i >= t.k || (Lsm_util.Bitset.get t.bits (position t h i) && go (i + 1)) in
-  go 0
+  let h1 = Hashing.mix64 h and h2 = Hashing.step h in
+  let i = ref 0 in
+  while !i < t.k && Lsm_util.Bitset.get t.bits (position t h1 h2 !i) do
+    incr i
+  done;
+  !i >= t.k
 
 let k t = t.k
+let bits t = t.bits
 let bit_count t = t.m
 
 (** [byte_size t] is the filter's footprint, for accounting. *)

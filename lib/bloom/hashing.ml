@@ -22,9 +22,10 @@ let hash_string s =
   String.iter (fun c -> h := (!h lxor Char.code c) * 0x100000001B3) s;
   mix64 !h
 
+(** [step h] is the odd stride [h2] of {!double_hash}; its base [h1] is
+    [mix64 h]. *)
+let step h = mix64 (h lxor 0x5851F42D4C957F2D) lor 1
+
 (** [double_hash h i] is the i-th probe position seed under Kirsch &
     Mitzenmacher double hashing: [h1 + i*h2] with [h2] forced odd. *)
-let double_hash h i =
-  let h1 = mix64 h in
-  let h2 = mix64 (h lxor 0x5851F42D4C957F2D) lor 1 in
-  h1 + (i * h2)
+let double_hash h i = mix64 h + (i * step h)

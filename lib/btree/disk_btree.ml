@@ -14,7 +14,7 @@
     charged) at build time.
 
     Three access paths mirror Sec. 3.2:
-    - [find]: stateless root-to-leaf search (the "naive" baseline);
+    - [find_pos]: stateless root-to-leaf search (the "naive" baseline);
     - [Cursor]: a stateful search cursor that resumes from the last leaf
       and uses exponential search ("sLookup");
     - [Scan]: sequential leaf-order iteration for range scans and merges. *)
@@ -104,12 +104,12 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       themselves.  Scans use it to detect leaf crossings; the sorted-view
       layer uses it to charge the same page fetches a scan would. *)
   let leaf_of_row t i =
-    let cost = ref 0 in
-    let l =
-      Lsm_util.Search.upper_bound ~cmp:compare ~cost t.leaf_starts ~lo:0
-        ~hi:(Array.length t.leaf_starts) i
-    in
-    l - 1
+    let lo = ref 0 and hi = ref (Array.length t.leaf_starts) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if t.leaf_starts.(mid) <= i then lo := mid + 1 else hi := mid
+    done;
+    !lo - 1
 
   (** [lower_bound_row env t key] is the index of the first row with key >=
       [key] (or [nrows]); charges the interior descent and one leaf read. *)
@@ -129,10 +129,24 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       i
     end
 
-  (** [find env t key] is the first row equal to [key] with its row index,
-      if any — the stateless ("naive") point lookup. *)
-  let find env t key =
-    if is_empty t then None
+  (* Row [i], [key]'s lower bound in leaf [l]: [i] if it holds [key] (an
+     entry visit), else [-1]; charges the search's comparisons. *)
+  let hit_or_miss env t l i key cost =
+    incr cost;
+    let res =
+      if i < t.leaf_starts.(l + 1) && K.compare t.keys.(i) key = 0 then begin
+        Lsm_sim.Env.charge_entry_visits env 1;
+        i
+      end
+      else -1
+    in
+    Lsm_sim.Env.charge_comparisons env !cost;
+    res
+
+  (** [find_pos env t key] is the index of the first row equal to [key],
+      or [-1] — the stateless ("naive") point lookup. *)
+  let find_pos env t key =
+    if is_empty t then -1
     else begin
       let l = leaf_for env t key in
       read_leaf env t l;
@@ -141,16 +155,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
         Lsm_util.Search.lower_bound ~cmp:K.compare ~cost t.keys
           ~lo:t.leaf_starts.(l) ~hi:t.leaf_starts.(l + 1) key
       in
-      incr cost;
-      let res =
-        if i < t.leaf_starts.(l + 1) && K.compare t.keys.(i) key = 0 then begin
-          Lsm_sim.Env.charge_entry_visits env 1;
-          Some (i, t.rows.(i))
-        end
-        else None
-      in
-      Lsm_sim.Env.charge_comparisons env !cost;
-      res
+      hit_or_miss env t l i key cost
     end
 
   (** Stateful search cursors (the "sLookup" optimization, Sec. 3.2): the
@@ -162,9 +167,9 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
 
     let create tree = { tree; leaf = 0; pos = 0 }
 
-    let find env c key =
+    let find_pos env c key =
       let t = c.tree in
-      if is_empty t then None
+      if is_empty t then -1
       else begin
         let cost = ref 0 in
         (* Gallop over fences from the current leaf. *)
@@ -198,16 +203,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
             ~start:(max c.pos t.leaf_starts.(l)) key
         in
         c.pos <- i;
-        incr cost;
-        let res =
-          if i < t.leaf_starts.(l + 1) && K.compare t.keys.(i) key = 0 then begin
-            Lsm_sim.Env.charge_entry_visits env 1;
-            Some (i, t.rows.(i))
-          end
-          else None
-        in
-        Lsm_sim.Env.charge_comparisons env !cost;
-        res
+        hit_or_miss env t l i key cost
       end
   end
 
@@ -258,23 +254,29 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
 
     let has_next s = s.i < nrows s.tree
 
-    (** [peek_key s] is the key of the next row without consuming it. *)
-    let peek_key s = if has_next s then Some s.tree.keys.(s.i) else None
-
-    (** [next env s] consumes and returns the next row (index and row). *)
-    let next env s =
-      if not (has_next s) then None
+    (** [next_pos env s] consumes the next row and returns its index, or
+        [-1] at the end; allocates nothing. *)
+    let next_pos env s =
+      if not (has_next s) then -1
       else begin
         let t = s.tree in
         let i = s.i in
         if s.leaf < 0 || i >= t.leaf_starts.(s.leaf + 1) then begin
-          let l = leaf_of_row t i in
-          fetch_leaf env s l;
-          s.leaf <- l
+          (* Leaves are non-empty and rows are consumed one at a time, so
+             the next leaf is found by walking forward from the current. *)
+          let l = ref (if s.leaf < 0 then leaf_of_row t i else s.leaf + 1) in
+          while i >= t.leaf_starts.(!l + 1) do
+            incr l
+          done;
+          fetch_leaf env s !l;
+          s.leaf <- !l
         end;
         Lsm_sim.Env.charge_entry_visits env 1;
         s.i <- i + 1;
-        Some (i, t.rows.(i))
+        i
       end
+
+    (** [row s] is the row {!next_pos} last returned (no charge). *)
+    let row s = s.tree.rows.(s.i - 1)
   end
 end

@@ -6,7 +6,7 @@
     data and pinned in any real cache); interior pages are written — and
     charged — at build time.
 
-    Three access paths mirror Sec. 3.2: {!val-find} (stateless, the
+    Three access paths mirror Sec. 3.2: {!val-find_pos} (stateless, the
     "naive" baseline), {!Cursor} (stateful, resuming from the last leaf
     with exponential search — "sLookup"), and {!Scan} (sequential
     read-ahead iteration for range scans and merges). *)
@@ -50,8 +50,9 @@ module Make (K : Lsm_util.Intf.ORDERED) : sig
       themselves).  Lets the sorted-view layer charge exactly the page
       fetches a sequential scan of the same rows would. *)
 
-  val find : Lsm_sim.Env.t -> 'row t -> K.t -> (int * 'row) option
-  (** Stateless point lookup: first row equal to the key, with its index. *)
+  val find_pos : Lsm_sim.Env.t -> 'row t -> K.t -> int
+  (** Stateless point lookup: index of the first row equal to the key, or
+      [-1]. *)
 
   (** Stateful search cursors ("sLookup"): remember the last leaf and row
       position and gallop from there, so sorted key batches cost
@@ -60,7 +61,9 @@ module Make (K : Lsm_util.Intf.ORDERED) : sig
     type 'row cur
 
     val create : 'row t -> 'row cur
-    val find : Lsm_sim.Env.t -> 'row cur -> K.t -> (int * 'row) option
+
+    val find_pos : Lsm_sim.Env.t -> 'row cur -> K.t -> int
+    (** Index of the first row equal to the key, or [-1]. *)
   end
 
   (** Sequential scans in leaf order, prefetching
@@ -73,11 +76,12 @@ module Make (K : Lsm_util.Intf.ORDERED) : sig
     val seek : Lsm_sim.Env.t -> 'row t -> K.t option -> 'row s
     (** Position at the first row with key >= the bound ([None] = start). *)
 
-    val has_next : 'row s -> bool
-    val peek_key : 'row s -> K.t option
+    val next_pos : Lsm_sim.Env.t -> 'row s -> int
+    (** Consume the next row and return its index ([-1] at the end),
+        charging page fetches as leaves are entered and one entry visit
+        per row. *)
 
-    val next : Lsm_sim.Env.t -> 'row s -> (int * 'row) option
-    (** Consume the next row (index and row), charging page fetches as
-        leaves are entered and one entry visit per row. *)
+    val row : 'row s -> 'row
+    (** The row {!next_pos} last returned (no charge). *)
   end
 end

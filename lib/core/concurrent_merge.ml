@@ -207,12 +207,12 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
     let scans =
       Array.map (fun c -> D.Prim.Dbt.Scan.seek env c.D.Prim.tree None) pcomps
     in
-    let cmp (k1, p1, _, _) (k2, p2, _, _) =
-      Lsm_sim.Env.charge_comparisons env 1;
-      let c = compare (k1 : int) k2 in
-      if c <> 0 then c else compare (p1 : int) p2
+    let m =
+      Lsm_util.Kmerge.create ~streams:(Array.length pcomps)
+        ~charge:(Lsm_sim.Env.charge_each_comparison env)
+        Int.compare
     in
-    let heap = Lsm_util.Heap.create cmp in
+    let head_pos = Array.make (Array.length pcomps) 0 in
     let row_valid_for_scan p pos =
       let c = pcomps.(p) in
       match method_ with
@@ -223,20 +223,26 @@ module Make (R : Record.S) (D : module type of Dataset.Make (R)) = struct
           | None -> true)
       | _ -> D.Prim.component_row_valid c pos
     in
-    let rec push p =
-      match D.Prim.Dbt.Scan.next env scans.(p) with
-      | None -> ()
-      | Some (pos, row) ->
-          if row_valid_for_scan p pos then
-            Lsm_util.Heap.push heap (row.D.Prim.key, p, pos, row)
-          else push p
+    let push p =
+      let s = scans.(p) in
+      let pos = ref (D.Prim.Dbt.Scan.next_pos env s) in
+      while !pos >= 0 && not (row_valid_for_scan p !pos) do
+        pos := D.Prim.Dbt.Scan.next_pos env s
+      done;
+      if !pos >= 0 then begin
+        head_pos.(p) <- !pos;
+        Lsm_util.Kmerge.push m p (D.Prim.Dbt.Scan.row s).D.Prim.key
+      end
     in
     Array.iteri (fun p _ -> push p) pcomps;
     let writer_budget = ref 0.0 in
     let last_key = ref min_int in
     let first_row = ref true in
-    while not (Lsm_util.Heap.is_empty heap) do
-      let k, p, pos, row = Lsm_util.Heap.pop heap in
+    while not (Lsm_util.Kmerge.is_empty m) do
+      let p = Lsm_util.Kmerge.pop m in
+      let pos = head_pos.(p) in
+      let row = D.Prim.Dbt.Scan.row scans.(p) in
+      let k = row.D.Prim.key in
       push p;
       (* Interleave writers. *)
       writer_budget := !writer_budget +. writer_ops_per_row;

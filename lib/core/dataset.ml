@@ -1174,33 +1174,31 @@ module Make (R : Record.S) = struct
   (* Is a (pk, ts) pair still current according to validation index [vt]
      (the primary key index, or a deleted-key tree)?  Components with
      maxTS <= threshold are pruned; [threshold] is at least the entry's own
-     timestamp and its source component's repairedTS. *)
-  let entry_is_valid (vt : Pk.t) ?cursors ~pk ~ts ~threshold () =
+     timestamp and its source component's repairedTS.  [comps] are [vt]'s
+     disk components and [cursors] a search cursor on each. *)
+  let entry_is_valid (vt : Pk.t) ~comps ~cursors ~pk ~ts ~threshold =
     match Pk.mem_find vt pk with
     | Some row -> row.Pk.ts <= ts
     | None ->
-        let comps = Pk.components vt in
-        let rec go i =
-          if i >= Array.length comps then true
-          else begin
-            let c = comps.(i) in
-            if c.Pk.cmax_ts <= threshold then true
-            else if Pk.probe_bloom vt c pk then begin
-              let hit =
-                match cursors with
-                | Some cs -> Pk.Dbt.Cursor.find (Pk.env vt) cs.(i) pk
-                | None -> Pk.Dbt.find (Pk.env vt) c.Pk.tree pk
-              in
-              match hit with
-              | Some (_, row) -> row.Pk.ts <= ts
-              | None ->
-                  Pk.note_bloom_fp vt c;
-                  go (i + 1)
+        (* Newest to oldest; the first hit decides. *)
+        let valid = ref true and i = ref 0 in
+        while !i < Array.length comps do
+          let c = comps.(!i) in
+          if c.Pk.cmax_ts <= threshold then i := Array.length comps
+          else if Pk.probe_bloom vt c pk then begin
+            let pos = Pk.Dbt.Cursor.find_pos (Pk.env vt) cursors.(!i) pk in
+            if pos >= 0 then begin
+              valid := (Pk.Dbt.rows c.Pk.tree).(pos).Pk.ts <= ts;
+              i := Array.length comps
             end
-            else go (i + 1)
+            else begin
+              Pk.note_bloom_fp vt c;
+              incr i
+            end
           end
-        in
-        go 0
+          else incr i
+        done;
+        !valid
 
   (* The validation index for a secondary: its own deleted-key tree under
      the Deleted-key strategy, else the dataset's primary key index. *)
@@ -1336,9 +1334,11 @@ module Make (R : Record.S) = struct
                        else if
                          (i = fp || Pk.probe_bloom vt c pk)
                        then
-                         match Pk.Dbt.Cursor.find (Pk.env vt) cursors.(i) pk with
-                         | Some (_, row) -> row.Pk.ts > ts
-                         | None -> go (i + 1)
+                         let hit =
+                           Pk.Dbt.Cursor.find_pos (Pk.env vt) cursors.(i) pk
+                         in
+                         if hit < 0 then go (i + 1)
+                         else (Pk.Dbt.rows c.Pk.tree).(hit).Pk.ts > ts
                        else go (i + 1)
                      end
                    in
@@ -1377,9 +1377,9 @@ module Make (R : Record.S) = struct
                items
            end
            else begin
+             let comps = Pk.components vt in
              let cursors =
-               Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree)
-                 (Pk.components vt)
+               Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree) comps
              in
              (* The pruning bound is the component-level repairedTS,
                 exactly as Sec. 4.4 describes — not each entry's own
@@ -1387,7 +1387,8 @@ module Make (R : Record.S) = struct
                 Bloom-filter optimization exists to provide). *)
              Array.iter
                (fun (pk, ts, pos) ->
-                 if not (entry_is_valid vt ~cursors ~pk ~ts ~threshold ()) then
+                 if not (entry_is_valid vt ~comps ~cursors ~pk ~ts ~threshold)
+                 then
                    invalidate pos)
                items
            end
@@ -1619,16 +1620,14 @@ module Make (R : Record.S) = struct
       let scans =
         Array.map (fun c -> Prim.Dbt.Scan.seek t.env c.Prim.tree None) comps
       in
-      let cmp (k1, p1, _) (k2, p2, _) =
-        Lsm_sim.Env.charge_comparisons t.env 1;
-        let c = compare (k1 : int) k2 in
-        if c <> 0 then c else compare (p1 : int) p2
+      let m =
+        Lsm_util.Kmerge.create ~streams:(Array.length comps)
+          ~charge:(Lsm_sim.Env.charge_each_comparison t.env)
+          Int.compare
       in
-      let heap = Lsm_util.Heap.create cmp in
       let push p =
-        match Prim.Dbt.Scan.next t.env scans.(p) with
-        | Some (_, row) -> Lsm_util.Heap.push heap (row.Prim.key, p, row)
-        | None -> ()
+        if Prim.Dbt.Scan.next_pos t.env scans.(p) >= 0 then
+          Lsm_util.Kmerge.push m p (Prim.Dbt.Scan.row scans.(p)).Prim.key
       in
       Array.iteri (fun p _ -> push p) comps;
       (* Group same-pk versions; the newest of a group is current unless
@@ -1670,8 +1669,10 @@ module Make (R : Record.S) = struct
       let flush_group () =
         if !group <> [] then process_group !cur_pk (List.rev !group)
       in
-      while not (Lsm_util.Heap.is_empty heap) do
-        let pk, p, row = Lsm_util.Heap.pop heap in
+      while not (Lsm_util.Kmerge.is_empty m) do
+        let p = Lsm_util.Kmerge.pop m in
+        let row = Prim.Dbt.Scan.row scans.(p) in
+        let pk = row.Prim.key in
         push p;
         if pk <> !cur_pk then begin
           flush_group ();
@@ -1739,14 +1740,15 @@ module Make (R : Record.S) = struct
     | Some vt ->
         Lsm_sim.Env.span t.env ~cat:sec.sec_name "validate.timestamp"
         @@ fun () ->
+        let comps = Pk.components vt in
         let cursors =
-          Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree) (Pk.components vt)
+          Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree) comps
         in
         let valid =
           List.filter
             (fun e ->
-              entry_is_valid vt ~cursors ~pk:e.e_pk ~ts:e.e_ts
-                ~threshold:(max e.e_src_repaired e.e_ts) ())
+              entry_is_valid vt ~comps ~cursors ~pk:e.e_pk ~ts:e.e_ts
+                ~threshold:(max e.e_src_repaired e.e_ts))
             (Array.to_list entries_sorted)
         in
         Lsm_sim.Env.explain_count t.env "entries_validated" (List.length valid);

@@ -154,9 +154,6 @@ module Make (R : Record.S) : sig
   (** Aggregate bytes of one memory shard across every tree of the
       dataset — the budget's eviction unit when sharded. *)
 
-  val largest_mem_shard : t -> int * int
-  (** [(shard, bytes)] of the fullest memory shard. *)
-
   val merge_prov_range :
     components:(unit -> 'dc array) ->
     prov_of:('dc -> Lsm_tree.flush_origin list) ->
@@ -210,19 +207,10 @@ module Make (R : Record.S) : sig
 
   (** {1 Query processing (Secs. 3.2, 4.3)} *)
 
-  type sec_entry = {
-    e_sk : int;
-    e_pk : int;
-    e_ts : int;
-    e_src_repaired : int;
-  }
-
   type validation_mode = [ `Assume_valid | `Direct | `Timestamp ]
   (** [`Assume_valid] for Eager-maintained indexes; [`Direct] fetches then
       re-checks (Fig. 5a); [`Timestamp] validates against the primary key
       index (Fig. 5b). *)
-
-  val search_secondary : t -> sec_index -> lo:int -> hi:int -> sec_entry list
 
   val query_secondary :
     t ->

@@ -26,8 +26,6 @@ let enable ?capacity () =
   (match capacity with Some c -> trace_capacity := c | None -> ());
   enabled := true
 
-let is_enabled () = !enabled
-
 (** [enable_explain ()] turns plan recording on: subsequently attached
     environments get an active {!Lsm_obs.Explain.t}, independently of
     tracing/metrics. *)

@@ -179,9 +179,6 @@ module Make (K : KEY) (V : VALUE) = struct
   let disk_size_bytes t =
     List.fold_left (fun acc c -> acc + component_size_bytes t c) 0 t.disk
 
-  let total_rows t =
-    mem_count t + List.fold_left (fun acc c -> acc + component_rows c) 0 t.disk
-
   let charge_mem_cmps t =
     Lsm_sim.Env.charge_comparisons t.env
       (Array.fold_left
@@ -218,8 +215,6 @@ module Make (K : KEY) (V : VALUE) = struct
   let set_sorted_views t on =
     if not on then invalidate_view t;
     t.views_enabled <- on
-
-  let sorted_views_enabled t = t.views_enabled
 
   (** [view_info t] is [(positions, anchors, run count)] of the current
       view, if one is materialized. *)
@@ -529,10 +524,9 @@ module Make (K : KEY) (V : VALUE) = struct
   type merge_job = {
     mj_inputs : disk_component array;
     mj_scans : row Dbt.Scan.s array;
-    mj_heap : (K.t * int * row) Lsm_util.Heap.t;
+    mj_merge : K.t Lsm_util.Kmerge.t;  (** stream [p] = input [p], 0 newest *)
     mutable mj_out : row list;  (** merged rows, newest-emitted first *)
-    mutable mj_last_key : K.t option;
-    mutable mj_rows_done : int;
+    mutable mj_started : bool;  (** a row has been popped *)
     mj_input_bytes : int;
     mj_input_rows : int;
     mj_includes_oldest : bool;
@@ -543,18 +537,14 @@ module Make (K : KEY) (V : VALUE) = struct
     mj_extra_invalid : disk_component -> int -> bool;
   }
 
+  (* Enter input [p]'s next valid row into the merge, if any. *)
   let mj_push_from t j p =
-    let rec go () =
-      match Dbt.Scan.next t.env j.mj_scans.(p) with
-      | None -> ()
-      | Some (i, row) ->
-          if
-            row_valid j.mj_inputs.(p) i
-            && not (j.mj_extra_invalid j.mj_inputs.(p) i)
-          then Lsm_util.Heap.push j.mj_heap (row.key, p, row)
-          else go ()
-    in
-    go ()
+    let s = j.mj_scans.(p) and c = j.mj_inputs.(p) in
+    let i = ref (Dbt.Scan.next_pos t.env s) in
+    while !i >= 0 && not (row_valid c !i && not (j.mj_extra_invalid c !i)) do
+      i := Dbt.Scan.next_pos t.env s
+    done;
+    if !i >= 0 then Lsm_util.Kmerge.push j.mj_merge p (Dbt.Scan.row s).key
 
   (** [merge_start t ~first ~last] opens an incremental merge of the
       contiguous component range [first..last] (indices into
@@ -570,16 +560,12 @@ module Make (K : KEY) (V : VALUE) = struct
       {
         mj_inputs = inputs;
         mj_scans = Array.map (fun c -> Dbt.Scan.seek t.env c.tree None) inputs;
-        mj_heap =
-          (* K-way merge ordered by (key, input priority); input 0 is
-             newest. *)
-          Lsm_util.Heap.create (fun (k1, p1, _) (k2, p2, _) ->
-              Lsm_sim.Env.charge_comparisons t.env 1;
-              let c = K.compare k1 k2 in
-              if c <> 0 then c else compare (p1 : int) p2);
+        mj_merge =
+          Lsm_util.Kmerge.create ~streams:(Array.length inputs)
+            ~charge:(Lsm_sim.Env.charge_each_comparison t.env)
+            K.compare;
         mj_out = [];
-        mj_last_key = None;
-        mj_rows_done = 0;
+        mj_started = false;
         mj_input_bytes =
           Array.fold_left (fun acc c -> acc + component_size_bytes t c) 0 inputs;
         mj_input_rows =
@@ -595,29 +581,25 @@ module Make (K : KEY) (V : VALUE) = struct
   (** [merge_step t j ~rows] advances the merge by up to [rows] output
       decisions; [false] once the input streams are exhausted. *)
   let merge_step t j ~rows =
+    let m = j.mj_merge in
     let budget = ref rows in
-    while !budget > 0 && not (Lsm_util.Heap.is_empty j.mj_heap) do
+    while !budget > 0 && not (Lsm_util.Kmerge.is_empty m) do
       decr budget;
-      let k, p, row = Lsm_util.Heap.pop j.mj_heap in
+      let prev = Lsm_util.Kmerge.last m in
+      let p = Lsm_util.Kmerge.pop m in
+      let row = Dbt.Scan.row j.mj_scans.(p) in
       mj_push_from t j p;
-      let dup =
-        match j.mj_last_key with
-        | Some lk -> K.compare lk k = 0
-        | None -> false
-      in
+      let dup = j.mj_started && K.compare prev row.key = 0 in
+      j.mj_started <- true;
       Lsm_sim.Env.charge_comparisons t.env 1;
-      j.mj_last_key <- Some k;
       if not dup then
         if
           Entry.is_del row.value && j.mj_includes_oldest
           && row.ts <= j.mj_drop_ts
         then ()
-        else begin
-          j.mj_out <- row :: j.mj_out;
-          j.mj_rows_done <- j.mj_rows_done + 1
-        end
+        else j.mj_out <- row :: j.mj_out
     done;
-    not (Lsm_util.Heap.is_empty j.mj_heap)
+    not (Lsm_util.Kmerge.is_empty m)
 
   (** [merge_finish t j] builds and installs the merged component,
       deletes the inputs' files, and announces [lsm.merge.install].  The
@@ -820,12 +802,15 @@ module Make (K : KEY) (V : VALUE) = struct
           | [] -> None
           | c :: rest ->
               Lsm_sim.Env.explain_count t.env "components_probed" 1;
-              if probe_bloom t c key then
-                match Dbt.find t.env c.tree key with
-                | Some (pos, row) -> if row_valid c pos then Some row else None
-                | None ->
-                    note_bloom_fp t c;
-                    go rest
+              if probe_bloom t c key then begin
+                let pos = Dbt.find_pos t.env c.tree key in
+                if pos < 0 then begin
+                  note_bloom_fp t c;
+                  go rest
+                end
+                else if row_valid c pos then Some (Dbt.rows c.tree).(pos)
+                else None
+              end
               else go rest
         in
         go t.disk
@@ -838,12 +823,14 @@ module Make (K : KEY) (V : VALUE) = struct
     let rec go = function
       | [] -> None
       | c :: rest -> (
-          if probe_bloom t c key then
-            match Dbt.find t.env c.tree key with
-            | Some (pos, row) -> Some (c, pos, row)
-            | None ->
-                note_bloom_fp t c;
-                go rest
+          if probe_bloom t c key then begin
+            let pos = Dbt.find_pos t.env c.tree key in
+            if pos >= 0 then Some (c, pos, (Dbt.rows c.tree).(pos))
+            else begin
+              note_bloom_fp t c;
+              go rest
+            end
+          end
           else go rest)
     in
     go t.disk
@@ -905,8 +892,8 @@ module Make (K : KEY) (V : VALUE) = struct
       in
       let find_in ci key =
         match cursors with
-        | Some cs -> Dbt.Cursor.find t.env cs.(ci) key
-        | None -> Dbt.find t.env comps.(ci).tree key
+        | Some cs -> Dbt.Cursor.find_pos t.env cs.(ci) key
+        | None -> Dbt.find_pos t.env comps.(ci).tree key
       in
       let per_batch =
         if not opts.batched then 1
@@ -949,15 +936,16 @@ module Make (K : KEY) (V : VALUE) = struct
                 Lsm_sim.Env.explain_count t.env "hint_skips" 1
               else begin
                 Lsm_sim.Env.explain_count t.env "components_probed" 1;
-                if probe_bloom t c qk.qkey then
-                  match find_in !ci qk.qkey with
-                  | Some (pos, row) ->
-                      (* A bitmap-invalidated hit resolves the key to absent:
-                         any superseding version is strictly newer and was
-                         already searched. *)
-                      if row_valid c pos then resolve i qk.qkey (Some row)
-                      else resolve i qk.qkey None
-                  | None -> note_bloom_fp t c
+                if probe_bloom t c qk.qkey then begin
+                  let pos = find_in !ci qk.qkey in
+                  (* A bitmap-invalidated hit resolves the key to absent:
+                     any superseding version is strictly newer and was
+                     already searched. *)
+                  if pos < 0 then note_bloom_fp t c
+                  else if row_valid c pos then
+                    resolve i qk.qkey (Some (Dbt.rows c.tree).(pos))
+                  else resolve i qk.qkey None
+                end
               end
             end
           done;
@@ -1054,6 +1042,12 @@ module Make (K : KEY) (V : VALUE) = struct
       rows
     end
 
+  (* Hand a reconciled row to [f]; anti-matter only under [emit_del]. *)
+  let emit spec f row ~src_repaired =
+    match row.value with
+    | Entry.Put _ -> f row ~src_repaired
+    | Entry.Del -> if spec.emit_del then f row ~src_repaired
+
   (* Reconciling scan served from the sorted view: one anchor binary
      search plus bounded per-run gallops to position, then a sequential
      walk of the selector stream 2-way merged with the memory slice
@@ -1081,26 +1075,23 @@ module Make (K : KEY) (V : VALUE) = struct
     let mem_rows = mem_slice t spec in
     let nm = Array.length mem_rows in
     let mi = ref 0 in
-    let vnext = ref (View.next t.env it) in
-    let emit row ~src_repaired =
-      match row.value with
-      | Entry.Put _ -> f row ~src_repaired
-      | Entry.Del -> if spec.emit_del then f row ~src_repaired
-    in
+    (* Run of the pending view group's winner; -1 once the view is done. *)
+    let vr = ref (View.next t.env it) in
+    let emit = emit spec f in
     let continue = ref true in
     while !continue do
-      match (!mi < nm, !vnext) with
-      | false, None -> continue := false
-      | true, None ->
+      match (!mi < nm, !vr >= 0) with
+      | false, false -> continue := false
+      | true, false ->
           emit mem_rows.(!mi) ~src_repaired:0;
           incr mi
-      | false, Some (_, r, row) ->
-          emit row ~src_repaired:comps_a.(r).repaired_ts;
-          vnext := View.next t.env it
-      | true, Some (vk, r, row) ->
+      | false, true ->
+          emit (View.row it) ~src_repaired:comps_a.(!vr).repaired_ts;
+          vr := View.next t.env it
+      | true, true ->
           let m = mem_rows.(!mi) in
           Lsm_sim.Env.charge_comparisons t.env 1;
-          let c = K.compare m.key vk in
+          let c = K.compare m.key (View.key it) in
           if c < 0 then begin
             emit m ~src_repaired:0;
             incr mi
@@ -1111,8 +1102,8 @@ module Make (K : KEY) (V : VALUE) = struct
                emit m ~src_repaired:0;
                incr mi
              end
-             else emit row ~src_repaired:comps_a.(r).repaired_ts);
-            vnext := View.next t.env it
+             else emit (View.row it) ~src_repaired:comps_a.(!vr).repaired_ts);
+            vr := View.next t.env it
           end
     done;
     Lsm_sim.Env.explain_count t.env "view_scans" 1;
@@ -1174,79 +1165,70 @@ module Make (K : KEY) (V : VALUE) = struct
       let scans =
         Array.map (fun c -> Dbt.Scan.seek t.env c.tree spec.lo) comps_a
       in
-      let cmp (k1, p1, _) (k2, p2, _) =
-        Lsm_sim.Env.charge_comparisons t.env 1;
-        let c = K.compare k1 k2 in
-        if c <> 0 then c else compare (p1 : int) p2
+      let m =
+        Lsm_util.Kmerge.create ~streams:(Array.length comps_a + 1)
+          ~charge:(Lsm_sim.Env.charge_each_comparison t.env)
+          K.compare
       in
-      let heap = Lsm_util.Heap.create cmp in
       let push_mem () =
         if !mem_pos < Array.length mem_rows then begin
           let r = mem_rows.(!mem_pos) in
           incr mem_pos;
-          if in_hi r.key then Lsm_util.Heap.push heap (r.key, 0, r)
+          if in_hi r.key then Lsm_util.Kmerge.push m 0 r.key
         end
       in
-      let rec push_disk p =
-        match Dbt.Scan.next t.env scans.(p) with
-        | None -> ()
-        | Some (i, row) ->
-            if not (in_hi row.key) then ()
-            else if
-              spec.respect_bitmap && not (row_valid comps_a.(p) i)
-            then push_disk p
-            else Lsm_util.Heap.push heap (row.key, p + 1, row)
+      let push_disk p =
+        let s = scans.(p) and go = ref true in
+        while !go do
+          let i = Dbt.Scan.next_pos t.env s in
+          if i < 0 then go := false
+          else begin
+            let key = (Dbt.keys comps_a.(p).tree).(i) in
+            if not (in_hi key) then go := false
+            else if spec.respect_bitmap && not (row_valid comps_a.(p) i) then ()
+            else begin
+              Lsm_util.Kmerge.push m (p + 1) key;
+              go := false
+            end
+          end
+        done
       in
       push_mem ();
       Array.iteri (fun p _ -> push_disk p) comps_a;
-      let last_key = ref None in
-      while not (Lsm_util.Heap.is_empty heap) do
-        let k, p, row = Lsm_util.Heap.pop heap in
-        let src_repaired =
-          if p = 0 then 0 else comps_a.(p - 1).repaired_ts
+      let started = ref false in
+      while not (Lsm_util.Kmerge.is_empty m) do
+        let prev = Lsm_util.Kmerge.last m in
+        let p = Lsm_util.Kmerge.pop m in
+        let row =
+          if p = 0 then mem_rows.(!mem_pos - 1) else Dbt.Scan.row scans.(p - 1)
         in
+        let src_repaired = if p = 0 then 0 else comps_a.(p - 1).repaired_ts in
         if p = 0 then push_mem () else push_disk (p - 1);
         let dup =
-          match !last_key with
-          | Some lk ->
-              Lsm_sim.Env.charge_comparisons t.env 1;
-              K.compare lk k = 0
-          | None -> false
+          !started
+          && (Lsm_sim.Env.charge_comparisons t.env 1;
+              K.compare prev row.key = 0)
         in
-        last_key := Some k;
-        if not dup then
-          match row.value with
-          | Entry.Put _ -> f row ~src_repaired
-          | Entry.Del -> if spec.emit_del then f row ~src_repaired
+        started := true;
+        if not dup then emit spec f row ~src_repaired
       done
     end
     else begin
       (* Component-at-a-time: bitmaps have already removed stale versions,
          so no cross-component reconciliation is necessary. *)
-      let emit_mem () =
-        Array.iter
-          (fun r ->
-            match r.value with
-            | Entry.Put _ -> f r ~src_repaired:0
-            | Entry.Del -> if spec.emit_del then f r ~src_repaired:0)
-          (mem_slice t spec)
-      in
-      emit_mem ();
+      Array.iter (fun r -> emit spec f r ~src_repaired:0) (mem_slice t spec);
       List.iter
         (fun c ->
           let s = Dbt.Scan.seek t.env c.tree spec.lo in
-          let continue = ref true in
-          while !continue do
-            match Dbt.Scan.next t.env s with
-            | None -> continue := false
-            | Some (i, row) ->
-                if not (in_hi row.key) then continue := false
-                else if spec.respect_bitmap && not (row_valid c i) then ()
-                else
-                  (match row.value with
-                  | Entry.Put _ -> f row ~src_repaired:c.repaired_ts
-                  | Entry.Del ->
-                      if spec.emit_del then f row ~src_repaired:c.repaired_ts)
+          let i = ref (Dbt.Scan.next_pos t.env s) in
+          while !i >= 0 do
+            let row = Dbt.Scan.row s in
+            if not (in_hi row.key) then i := -1
+            else begin
+              if (not spec.respect_bitmap) || row_valid c !i then
+                emit spec f row ~src_repaired:c.repaired_ts;
+              i := Dbt.Scan.next_pos t.env s
+            end
           done)
         comps
     end

@@ -40,8 +40,6 @@ module Make (K : KEY) (V : VALUE) : sig
 
   type row = { key : K.t; ts : int; value : V.t Entry.t }
 
-  val row_size : row -> int
-
   type mem_component
 
   type disk_component = {
@@ -84,8 +82,6 @@ module Make (K : KEY) (V : VALUE) : sig
 
   val mem_bytes : t -> int
   val mem_count : t -> int
-  val mem_is_empty : t -> bool
-
   val mem_shards : t -> int
   (** Number of memory shards ([Config.shards]; 1 = classic single
       memtable). *)
@@ -131,7 +127,6 @@ module Make (K : KEY) (V : VALUE) : sig
   val component_rows : disk_component -> int
   val component_size_bytes : t -> disk_component -> int
   val disk_size_bytes : t -> int
-  val total_rows : t -> int
 
   val component_file : disk_component -> int
   (** Id of the component's backing file (to match against
@@ -223,9 +218,7 @@ module Make (K : KEY) (V : VALUE) : sig
 
   (** {1 Bitmaps and repair bookkeeping} *)
 
-  val row_valid : disk_component -> int -> bool
   val component_row_valid : disk_component -> int -> bool
-  val ensure_bitmap : disk_component -> Lsm_util.Bitset.t
   val invalidate : disk_component -> int -> unit
   val revalidate : disk_component -> int -> unit
   (** Flip a bit back (transaction aborts only, Sec. 5.2). *)
@@ -315,8 +308,6 @@ module Make (K : KEY) (V : VALUE) : sig
   val set_sorted_views : t -> bool -> unit
   (** Enable (default) or disable sorted-view-backed reconciling scans;
       disabling drops any materialized view. *)
-
-  val sorted_views_enabled : t -> bool
 
   val view_info : t -> (int * int * int) option
   (** [(positions, anchors, runs)] of the materialized view, if any. *)

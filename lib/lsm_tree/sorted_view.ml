@@ -82,18 +82,17 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     let sel = Array.make n 0 in
     let pos = Array.make n 0 in
     let eq_prev = Lsm_util.Bitset.create n in
-    let cmp (k1, r1, _) (k2, r2, _) =
-      Lsm_sim.Env.charge_comparisons env 1;
-      let c = K.compare k1 k2 in
-      if c <> 0 then c else compare (r1 : int) r2
+    let m =
+      Lsm_util.Kmerge.create ~streams:nruns
+        ~charge:(Lsm_sim.Env.charge_each_comparison env)
+        K.compare
     in
-    let heap = Lsm_util.Heap.create cmp in
     let next_idx = Array.make nruns 0 in
     let push r =
       let i = next_idx.(r) in
       if i < Array.length runs.(r).keys then begin
         next_idx.(r) <- i + 1;
-        Lsm_util.Heap.push heap (runs.(r).keys.(i), r, i)
+        Lsm_util.Kmerge.push m r runs.(r).keys.(i)
       end
     in
     for r = 0 to nruns - 1 do
@@ -103,10 +102,12 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     let anchor_offs = Array.make (nanchors * nruns) 0 in
     let anchors_rev = ref [] in
     let consumed = Array.make nruns 0 in
-    let last = ref None in
     let j = ref 0 in
-    while not (Lsm_util.Heap.is_empty heap) do
-      let k, r, i = Lsm_util.Heap.pop heap in
+    while not (Lsm_util.Kmerge.is_empty m) do
+      let prev = Lsm_util.Kmerge.last m in
+      let r = Lsm_util.Kmerge.pop m in
+      let i = next_idx.(r) - 1 in
+      let k = runs.(r).keys.(i) in
       push r;
       if !j mod stride = 0 then begin
         anchors_rev := k :: !anchors_rev;
@@ -115,12 +116,10 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       sel.(!j) <- r;
       pos.(!j) <- i;
       consumed.(r) <- consumed.(r) + 1;
-      (match !last with
-      | Some lk ->
-          Lsm_sim.Env.charge_comparisons env 1;
-          if K.compare lk k = 0 then Lsm_util.Bitset.set eq_prev !j
-      | None -> ());
-      last := Some k;
+      if !j > 0 then begin
+        Lsm_sim.Env.charge_comparisons env 1;
+        if K.compare prev k = 0 then Lsm_util.Bitset.set eq_prev !j
+      end;
       incr j
     done;
     Lsm_sim.Env.charge_entry_visits env n;
@@ -183,6 +182,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
     (* Read-ahead window over the view's own pages. *)
     mutable vpage : int;
     mutable vpref : int;
+    mutable win_r : int;  (** run of the last resolved group's winner *)
+    mutable win_i : int;  (** its row index in that run *)
     (* Stats, reported into [Env.view_stats] by the caller. *)
     mutable segments : int;
     mutable next_seg : int;
@@ -240,6 +241,8 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       pref = Array.make (max 1 nruns) (-1);
       vpage = -1;
       vpref = -1;
+      win_r = -1;
+      win_i = -1;
       segments = 0;
       next_seg = j0 / t.stride * t.stride;
       skipped = 0;
@@ -284,17 +287,21 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       end;
       it.cur_leaf.(r) <- l
     end;
-    Lsm_sim.Env.charge_entry_visits env 1;
-    run.rows.(i)
+    Lsm_sim.Env.charge_entry_visits env 1
+
+  (** Key and row of the group {!next} last resolved. *)
+  let key it = it.view.runs.(it.win_r).keys.(it.win_i)
+  let row it = it.view.runs.(it.win_r).rows.(it.win_i)
 
   (** [next env it] resolves the next key group: the winner is the first
       position of the group that is mask-included and live ([valid]);
       shadowed, masked and invalid positions are skipped without touching
-      their data pages.  Returns [(key, run, row)], or [None] past [hi] or
-      the end.  Groups whose members are all skipped produce nothing and
-      the iterator moves on. *)
+      their data pages.  Returns the winner's run (its key and row are
+      then {!key} and {!row}), or [-1] past [hi] or the end.  Groups whose
+      members are all skipped produce nothing and the iterator moves on.
+      Allocates nothing. *)
   let rec next env it =
-    if it.finished then None
+    if it.finished then -1
     else begin
       let t = it.view in
       let j = it.j in
@@ -309,7 +316,7 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
       in
       if beyond then begin
         it.finished <- true;
-        None
+        -1
       end
       else begin
         (* Walk the key group starting at [j]; group membership is the
@@ -336,9 +343,11 @@ module Make (K : Lsm_util.Intf.ORDERED) = struct
         it.j <- !jj;
         if !jj >= t.n then it.finished <- true;
         if !winner_r >= 0 then begin
-          let row = fetch_row env it !winner_r !winner_i in
+          fetch_row env it !winner_r !winner_i;
           it.emitted <- it.emitted + 1;
-          Some (k, !winner_r, row)
+          it.win_r <- !winner_r;
+          it.win_i <- !winner_i;
+          !winner_r
         end
         else next env it
       end

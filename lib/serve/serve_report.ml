@@ -29,13 +29,16 @@ let verdict (r : Driver.result) =
       r.Driver.queue_growth
       (100.0 *. r.Driver.backlog_frac)
 
+(* The overshoot is how far the pre-enforcement peak went past the
+   budget (0 when it never did). *)
 let budget_note (r : Driver.result) =
   Printf.sprintf
-    "global budget %s: aggregate memtable peak %s (pre-eviction overshoot \
-     %s), %d coordinator flushes"
+    "global budget %s: aggregate memtable peak %s after eviction, %s before \
+     (overshoot %s), %d coordinator flushes"
     (fmt_mb r.Driver.budget_bytes)
     (fmt_mb r.Driver.peak_mem_bytes)
     (fmt_mb r.Driver.peak_pre_mem_bytes)
+    (fmt_mb (max 0 (r.Driver.peak_pre_mem_bytes - r.Driver.budget_bytes)))
     r.Driver.evictions
 
 (* Per-partition engine resilience counters: a note line when the run

@@ -6,114 +6,113 @@
     files in this simulation are phantom — only residency, which is what
     the cost model needs.
 
-    Implementation: hash table + intrusive doubly-linked LRU list. *)
+    Implementation: an int-keyed hash table over a packed (file, page)
+    key, and an intrusive circular doubly-linked LRU list around a
+    sentinel node, so a hit allocates nothing. *)
 
-type node = {
-  key : int * int;
-  mutable prev : node option;
-  mutable next : node option;
-}
+module Tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash = Lsm_util.Keys.mix64
+end)
+
+type node = { key : int; mutable prev : node; mutable next : node }
 
 type t = {
   capacity : int;  (** max resident pages; 0 disables caching *)
-  table : (int * int, node) Hashtbl.t;
-  mutable head : node option;  (** most recently used *)
-  mutable tail : node option;  (** least recently used *)
+  table : node Tbl.t;
+  lru : node;
+      (** sentinel: [lru.next] is the most recently used page, [lru.prev]
+          the least recently used; it points to itself when empty *)
   mutable size : int;
 }
 
+let file_limit = 1 lsl 31
+let page_limit = 1 lsl 32
+
+(* [file] in the high 31 bits, [page] in the low 32: distinct pairs get
+   distinct keys within OCaml's 63-bit ints.  Larger ids are rejected
+   rather than aliased. *)
+let pack ~file ~page =
+  if file < 0 || file >= file_limit || page < 0 || page >= page_limit then
+    invalid_arg "Buffer_cache: file id or page out of range";
+  (file lsl 32) lor page
+
 let create ~capacity_pages =
-  {
-    capacity = max capacity_pages 0;
-    table = Hashtbl.create 4096;
-    head = None;
-    tail = None;
-    size = 0;
-  }
+  let rec lru = { key = -1; prev = lru; next = lru } in
+  { capacity = max capacity_pages 0; table = Tbl.create 4096; lru; size = 0 }
 
 let size t = t.size
 let capacity t = t.capacity
 
-let unlink t node =
-  (match node.prev with
-  | Some p -> p.next <- node.next
-  | None -> t.head <- node.next);
-  (match node.next with
-  | Some n -> n.prev <- node.prev
-  | None -> t.tail <- node.prev);
-  node.prev <- None;
-  node.next <- None
+let unlink node =
+  node.prev.next <- node.next;
+  node.next.prev <- node.prev
 
 let push_front t node =
-  node.next <- t.head;
-  node.prev <- None;
-  (match t.head with Some h -> h.prev <- Some node | None -> ());
-  t.head <- Some node;
-  if t.tail = None then t.tail <- Some node
+  node.prev <- t.lru;
+  node.next <- t.lru.next;
+  t.lru.next.prev <- node;
+  t.lru.next <- node
 
-(** [mem t key] reports residency without touching recency. *)
-let mem t key = Hashtbl.mem t.table key
+(* A dropped node is pointed at itself: left pointing at its old
+   neighbours, a dead node already in the major heap would make the minor
+   collector promote every young node still chained behind it. *)
+let forget t node =
+  unlink node;
+  node.prev <- node;
+  node.next <- node;
+  Tbl.remove t.table node.key;
+  t.size <- t.size - 1
 
-(** [touch t key] returns [true] on a hit (promoting the page to MRU) and
-    [false] on a miss (the caller is expected to fetch and [insert]). *)
-let touch t key =
-  match Hashtbl.find_opt t.table key with
-  | Some node ->
-      unlink t node;
+(** [mem t ~file ~page] reports residency without touching recency. *)
+let mem t ~file ~page = Tbl.mem t.table (pack ~file ~page)
+
+let touch_key t key =
+  match Tbl.find t.table key with
+  | node ->
+      unlink node;
       push_front t node;
       true
-  | None -> false
+  | exception Not_found -> false
 
-let evict_lru t =
-  match t.tail with
-  | None -> ()
-  | Some node ->
-      unlink t node;
-      Hashtbl.remove t.table node.key;
-      t.size <- t.size - 1
+(** [touch t ~file ~page] returns [true] on a hit (promoting the page to
+    MRU) and [false] on a miss (the caller is expected to fetch and
+    [insert]). *)
+let touch t ~file ~page = touch_key t (pack ~file ~page)
 
-(** [insert t key] makes [key] resident at MRU position, evicting the LRU
-    page if at capacity.  A no-op for an already-resident page or a
-    zero-capacity cache. *)
-let insert t key =
-  if t.capacity > 0 then
-    if touch t key then ()
-    else begin
-      if t.size >= t.capacity then evict_lru t;
-      let node = { key; prev = None; next = None } in
-      Hashtbl.replace t.table key node;
-      push_front t node;
-      t.size <- t.size + 1
-    end
+(** [insert t ~file ~page] makes the page resident at MRU position,
+    evicting the LRU page if at capacity.  A no-op for an already-resident
+    page or a zero-capacity cache. *)
+let insert t ~file ~page =
+  let key = pack ~file ~page in
+  if t.capacity > 0 && not (touch_key t key) then begin
+    if t.size >= t.capacity then forget t t.lru.prev;
+    let node = { key; prev = t.lru; next = t.lru } in
+    Tbl.add t.table key node;
+    push_front t node;
+    t.size <- t.size + 1
+  end
 
-(** [remove t key] discards one resident page (a checksum-failed copy
-    must not be served from cache).  A no-op if not resident. *)
-let remove t key =
-  match Hashtbl.find_opt t.table key with
-  | None -> ()
-  | Some node ->
-      unlink t node;
-      Hashtbl.remove t.table key;
-      t.size <- t.size - 1
+(** [remove t ~file ~page] discards one resident page (a checksum-failed
+    copy must not be served from cache).  A no-op if not resident. *)
+let remove t ~file ~page =
+  match Tbl.find t.table (pack ~file ~page) with
+  | node -> forget t node
+  | exception Not_found -> ()
 
 (** [drop_file t file_id] discards all resident pages of a deleted file so
     they stop occupying capacity (components are deleted after a merge). *)
 let drop_file t file_id =
-  let doomed =
-    Hashtbl.fold
-      (fun ((f, _) as k) node acc -> if f = file_id then (k, node) :: acc else acc)
-      t.table []
-  in
-  List.iter
-    (fun (k, node) ->
-      unlink t node;
-      Hashtbl.remove t.table k;
-      t.size <- t.size - 1)
-    doomed
+  Tbl.fold
+    (fun key node acc -> if key lsr 32 = file_id then node :: acc else acc)
+    t.table []
+  |> List.iter (forget t)
 
 (** [clear t] empties the cache (used to run cold-cache experiments). *)
 let clear t =
-  Hashtbl.reset t.table;
-  t.head <- None;
-  t.tail <- None;
+  Tbl.reset t.table;
+  t.lru.prev <- t.lru;
+  t.lru.next <- t.lru;
   t.size <- 0

@@ -143,6 +143,11 @@ val rewind : t -> float -> unit
 (** {1 CPU charging} *)
 
 val charge_comparisons : t -> int -> unit
+
+val charge_each_comparison : t -> int -> unit
+(** [charge_each_comparison t n]: bit-identical to [n] calls of
+    [charge_comparisons t 1] (k-way merges charge each heap step so). *)
+
 val charge_hashes : t -> int -> unit
 val charge_entry_visits : t -> int -> unit
 

@@ -37,8 +37,3 @@ let binary_search ~cmp ~cost t key =
      cmp t.data.(i) key = 0)
   then Some i
   else None
-
-let iter t f =
-  for i = 0 to t.len - 1 do
-    f t.data.(i)
-  done

@@ -17,5 +17,3 @@ val binary_search :
   cmp:('a -> 'b -> int) -> cost:int ref -> 'a t -> 'b -> int option
 (** [binary_search ~cmp ~cost t key]: index of an element equal to [key]
     in the (sorted) contents, counting comparisons into [cost]. *)
-
-val iter : 'a t -> ('a -> unit) -> unit

@@ -123,6 +123,61 @@ let test_filter_dispatch () =
   Alcotest.(check bool) "blocked cheaper probes" true
     (Filter.cache_lines_per_probe blk < Filter.cache_lines_per_probe std)
 
+(* ------------------------------------------------------------------ *)
+(* Hash-once probes set and test the per-bit double-hashing positions *)
+
+(* The bit positions of hash [h], computed bit by bit from
+   [Hashing.double_hash] (the formula the filters hash once per probe). *)
+let std_positions f h =
+  List.init (Bloom.k f) (fun i ->
+      Hashing.double_hash h i land max_int mod Bloom.bit_count f)
+
+let blk_positions f h =
+  let nblocks = Blocked_bloom.bit_count f / Blocked_bloom.block_bits in
+  let bb = Blocked_bloom.block_bits in
+  let base = Hashing.mix64 h land max_int mod nblocks * bb in
+  List.init (Blocked_bloom.k f) (fun i ->
+      base + (Hashing.double_hash h (i + 1) land max_int mod bb))
+
+(* [add] sets exactly the union of the formula's positions, and [contains]
+   answers "all formula positions set" for arbitrary probes. *)
+let same_bits ~bits ~bit_count ~positions ~contains added probes =
+  let model = Lsm_util.Bitset.create bit_count in
+  List.iter
+    (fun h -> List.iter (Lsm_util.Bitset.set model) (positions h))
+    added;
+  let ok = ref true in
+  for i = 0 to bit_count - 1 do
+    if Lsm_util.Bitset.get model i <> Lsm_util.Bitset.get bits i then
+      ok := false
+  done;
+  !ok
+  && List.for_all
+       (fun h ->
+         contains h = List.for_all (Lsm_util.Bitset.get model) (positions h))
+       (added @ probes)
+
+let gen_hashes =
+  QCheck2.Gen.(
+    pair (list_size (int_range 0 60) int) (list_size (int_range 0 200) int))
+
+let prop_bloom_hash_once =
+  qtest ~count:200 "hash-once bits = double_hash formula" gen_hashes
+    (fun (added, probes) ->
+      let f = Bloom.create ~expected:20 ~fpr:0.05 in
+      List.iter (Bloom.add f) added;
+      same_bits ~bits:(Bloom.bits f) ~bit_count:(Bloom.bit_count f)
+        ~positions:(std_positions f) ~contains:(Bloom.contains f) added probes)
+
+let prop_blocked_hash_once =
+  qtest ~count:200 "hash-once bits = double_hash formula" gen_hashes
+    (fun (added, probes) ->
+      let f = Blocked_bloom.create ~expected:600 ~fpr:0.05 in
+      List.iter (Blocked_bloom.add f) added;
+      same_bits ~bits:(Blocked_bloom.bits f)
+        ~bit_count:(Blocked_bloom.bit_count f) ~positions:(blk_positions f)
+        ~contains:(Blocked_bloom.contains f) added probes)
+
 let () =
   Alcotest.run "lsm_bloom"
     [
@@ -139,6 +194,7 @@ let () =
           Alcotest.test_case "fpr near target" `Quick test_fpr_near_target;
           Alcotest.test_case "params" `Quick test_bloom_params;
           Alcotest.test_case "probe costs" `Quick test_bloom_probe_costs;
+          prop_bloom_hash_once;
         ] );
       ( "blocked",
         [
@@ -147,6 +203,7 @@ let () =
           Alcotest.test_case "one cache line" `Quick test_blocked_single_cache_line;
           Alcotest.test_case "extra bit per key" `Quick
             test_blocked_extra_bit_per_key;
+          prop_blocked_hash_once;
         ] );
       ("filter", [ Alcotest.test_case "dispatch" `Quick test_filter_dispatch ]);
     ]

@@ -3,6 +3,12 @@
 
 module Mbt = Lsm_btree.Mem_btree.Make (Lsm_util.Keys.Int_key)
 module Dbt = Lsm_btree.Disk_btree.Make (Lsm_util.Keys.Int_key)
+
+(* Option views of the index-returning lookups. *)
+let row_opt t i = if i < 0 then None else Some (i, (Dbt.rows t).(i))
+let find env t k = row_opt t (Dbt.find_pos env t k)
+let cursor_find env c t k = row_opt t (Dbt.Cursor.find_pos env c k)
+let scan_next env t s = row_opt t (Dbt.Scan.next_pos env s)
 module IntMap = Map.Make (Int)
 
 let qtest ?(count = 200) name gen prop =
@@ -111,23 +117,23 @@ let test_dbt_build_pages () =
 let test_dbt_find () =
   let env = mk_env () in
   let t = build env (Array.init 100 (fun i -> i * 2)) in
-  (match Dbt.find env t 42 with
+  (match find env t 42 with
   | Some (pos, (k, v)) ->
       Alcotest.(check int) "pos" 21 pos;
       Alcotest.(check int) "key" 42 k;
       Alcotest.(check int) "val" (42 * 7) v
   | None -> Alcotest.fail "expected hit");
-  Alcotest.(check bool) "miss odd" true (Dbt.find env t 43 = None);
-  Alcotest.(check bool) "miss below" true (Dbt.find env t (-1) = None);
-  Alcotest.(check bool) "miss above" true (Dbt.find env t 1000 = None)
+  Alcotest.(check bool) "miss odd" true (find env t 43 = None);
+  Alcotest.(check bool) "miss below" true (find env t (-1) = None);
+  Alcotest.(check bool) "miss above" true (find env t 1000 = None)
 
 let test_dbt_empty () =
   let env = mk_env () in
   let t = build env [||] in
-  Alcotest.(check bool) "empty find" true (Dbt.find env t 1 = None);
+  Alcotest.(check bool) "empty find" true (find env t 1 = None);
   Alcotest.(check int) "no pages" 0 (Dbt.leaf_pages t);
   let s = Dbt.Scan.seek env t None in
-  Alcotest.(check bool) "no next" true (Dbt.Scan.next env s = None)
+  Alcotest.(check bool) "no next" true (scan_next env t s = None)
 
 let prop_dbt_find_matches_model =
   qtest ~count:100 "disk btree find = model"
@@ -143,7 +149,7 @@ let prop_dbt_find_matches_model =
       List.for_all
         (fun q ->
           let expect = IntMap.find_opt q model in
-          let got = Option.map (fun (_, (_, v)) -> v) (Dbt.find env t q) in
+          let got = Option.map (fun (_, (_, v)) -> v) (find env t q) in
           got = expect)
         queries)
 
@@ -160,8 +166,8 @@ let prop_dbt_cursor_matches_find =
       let c = Dbt.Cursor.create t in
       List.for_all
         (fun q ->
-          let a = Option.map snd (Dbt.find env t q) in
-          let b = Option.map snd (Dbt.Cursor.find env c q) in
+          let a = Option.map snd (find env t q) in
+          let b = Option.map snd (cursor_find env c t q) in
           a = b)
         queries)
 
@@ -170,19 +176,19 @@ let test_dbt_cursor_cheaper_for_sorted_batch () =
   let t = build env (Array.init 5000 (fun i -> i)) in
   (* Warm everything so only CPU differs. *)
   for i = 0 to 4999 do
-    ignore (Dbt.find env t i)
+    ignore (find env t i)
   done;
   let st = Lsm_sim.Env.stats env in
   let before = st.Lsm_sim.Io_stats.comparisons in
   for i = 1000 to 1999 do
-    ignore (Dbt.find env t i)
+    ignore (find env t i)
   done;
   let stateless = st.Lsm_sim.Io_stats.comparisons - before in
   let c = Dbt.Cursor.create t in
-  ignore (Dbt.Cursor.find env c 999);
+  ignore (cursor_find env c t 999);
   let before = st.Lsm_sim.Io_stats.comparisons in
   for i = 1000 to 1999 do
-    ignore (Dbt.Cursor.find env c i)
+    ignore (cursor_find env c t i)
   done;
   let stateful = st.Lsm_sim.Io_stats.comparisons - before in
   Alcotest.(check bool)
@@ -196,7 +202,7 @@ let test_dbt_scan_full_and_range () =
   let s = Dbt.Scan.seek env t None in
   let n = ref 0 and last = ref (-1) in
   let rec drain () =
-    match Dbt.Scan.next env s with
+    match scan_next env t s with
     | Some (i, (k, _)) ->
         Alcotest.(check int) "index order" !n i;
         Alcotest.(check bool) "ascending" true (k > !last);
@@ -209,10 +215,12 @@ let test_dbt_scan_full_and_range () =
   Alcotest.(check int) "all rows" 100 !n;
   (* Seek into the middle. *)
   let s = Dbt.Scan.seek env t (Some 50) in
-  (match Dbt.Scan.next env s with
+  (match scan_next env t s with
   | Some (_, (k, _)) -> Alcotest.(check int) "first >= 50" 51 k
   | None -> Alcotest.fail "expected rows");
-  Alcotest.(check (option int)) "peek" (Some 54) (Dbt.Scan.peek_key s)
+  Alcotest.(check (option int))
+    "continues in order" (Some 54)
+    (Option.map (fun (_, (k, _)) -> k) (scan_next env t s))
 
 let test_dbt_scan_sequential_io () =
   let env = mk_env () in
@@ -222,7 +230,7 @@ let test_dbt_scan_sequential_io () =
   Lsm_sim.Env.reset_measurement env;
   let s = Dbt.Scan.seek env t None in
   let rec drain () =
-    match Dbt.Scan.next env s with Some _ -> drain () | None -> ()
+    match scan_next env t s with Some _ -> drain () | None -> ()
   in
   drain ();
   let st = Lsm_sim.Env.stats env in
@@ -237,7 +245,7 @@ let test_dbt_duplicate_keys () =
   let t =
     Dbt.build env ~key_of:fst ~size_of:(fun _ -> 32) rows
   in
-  (match Dbt.find env t 2 with
+  (match find env t 2 with
   | Some (pos, (_, v)) ->
       Alcotest.(check int) "first dup pos" 1 pos;
       Alcotest.(check int) "first dup val" 200 v

@@ -30,6 +30,62 @@ let test_list_ok () = Alcotest.(check int) "exit 0" 0 (run [ "list" ])
 
 let test_help_ok () = Alcotest.(check int) "exit 0" 0 (run [ "--help" ])
 
+(* [help args] runs [args @ ["--help=plain"]], returning the exit code,
+   stdout and stderr. *)
+let help args =
+  let out = Filename.temp_file "help" ".out"
+  and err = Filename.temp_file "help" ".err" in
+  let code =
+    Sys.command
+      (Filename.quote_command exe ~stdout:out ~stderr:err
+         (args @ [ "--help=plain" ]))
+  in
+  let read p = In_channel.with_open_bin p In_channel.input_all in
+  let r = (code, read out, read err) in
+  Sys.remove out;
+  Sys.remove err;
+  r
+
+(* Subcommands as listed in the top-level help's COMMANDS section: its
+   lines indented by exactly seven spaces. *)
+let subcommands () =
+  let _, out, _ = help [] in
+  let in_cmds = ref false in
+  List.filter_map
+    (fun l ->
+      if l = "COMMANDS" then (in_cmds := true; None)
+      else if l <> "" && l.[0] <> ' ' then (in_cmds := false; None)
+      else if
+        !in_cmds && String.length l > 7 && String.sub l 0 7 = "       "
+        && l.[7] <> ' '
+      then Some (List.hd (String.split_on_char ' ' (String.trim l)))
+      else None)
+    (String.split_on_char '\n' out)
+
+let test_help_clean () =
+  let cmds = subcommands () in
+  Alcotest.(check bool) "serve listed" true (List.mem "serve" cmds);
+  List.iter
+    (fun args ->
+      let code, _, err = help args in
+      let name = String.concat " " ("lsm_repro" :: args) in
+      Alcotest.(check int) (name ^ " --help exits 0") 0 code;
+      Alcotest.(check string) (name ^ " --help stderr") "" err)
+    ([] :: List.map (fun c -> [ c ]) cmds)
+
+let contains s sub =
+  let n = String.length sub in
+  let rec at i =
+    i + n <= String.length s && (String.sub s i n = sub || at (i + 1))
+  in
+  at 0
+
+let test_help_chaos_example () =
+  let _, out, _ = help [ "serve" ] in
+  List.iter
+    (fun ex -> Alcotest.(check bool) (ex ^ " rendered") true (contains out ex))
+    [ "crash@p2@t150ms"; "io@p0@t50ms+40ms!6"; "corrupt@p1@t80ms" ]
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output contracts: the JSON documents the binary
    writes parse with our own parser and keep their schema promises. *)
@@ -417,6 +473,10 @@ let () =
             test_bad_scale_value;
           Alcotest.test_case "list succeeds" `Quick test_list_ok;
           Alcotest.test_case "--help succeeds" `Quick test_help_ok;
+          Alcotest.test_case "--help=plain writes no stderr" `Quick
+            test_help_clean;
+          Alcotest.test_case "serve --help chaos example" `Quick
+            test_help_chaos_example;
         ] );
       ( "json documents",
         [

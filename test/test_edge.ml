@@ -3,6 +3,12 @@
    cases (delete-then-reinsert, missing filter key, stats counters). *)
 
 module Dbt = Lsm_btree.Disk_btree.Make (Lsm_util.Keys.Int_key)
+
+(* Option views of the index-returning lookups. *)
+let row_opt t i = if i < 0 then None else Some (i, (Dbt.rows t).(i))
+let find env t k = row_opt t (Dbt.find_pos env t k)
+let cursor_find env c t k = row_opt t (Dbt.Cursor.find_pos env c k)
+let scan_next env t s = row_opt t (Dbt.Scan.next_pos env s)
 module L = Lsm_tree.Make (Lsm_util.Keys.Int_key) (Lsm_util.Keys.Int_value)
 module Entry = Lsm_tree.Entry
 module D = Lsm_core.Dataset.Make (Lsm_workload.Tweet.Record)
@@ -26,9 +32,9 @@ let test_dbt_single_row () =
   let env = mk_env () in
   let t = Dbt.build env ~key_of:fst ~size_of:(fun _ -> 32) [| (5, 50) |] in
   Alcotest.(check int) "one leaf" 1 (Dbt.leaf_pages t);
-  Alcotest.(check bool) "hit" true (Dbt.find env t 5 <> None);
-  Alcotest.(check bool) "below" true (Dbt.find env t 4 = None);
-  Alcotest.(check bool) "above" true (Dbt.find env t 6 = None);
+  Alcotest.(check bool) "hit" true (find env t 5 <> None);
+  Alcotest.(check bool) "below" true (find env t 4 = None);
+  Alcotest.(check bool) "above" true (find env t 6 = None);
   Alcotest.(check int) "lb below" 0 (Dbt.lower_bound_row env t 4);
   Alcotest.(check int) "lb above" 1 (Dbt.lower_bound_row env t 6)
 
@@ -39,7 +45,7 @@ let test_dbt_rows_bigger_than_page () =
   let t = Dbt.build env ~key_of:fst ~size_of:(fun _ -> 200) rows in
   Alcotest.(check int) "one leaf per row" 10 (Dbt.leaf_pages t);
   for i = 0 to 9 do
-    Alcotest.(check bool) "found" true (Dbt.find env t i <> None)
+    Alcotest.(check bool) "found" true (find env t i <> None)
   done
 
 let test_dbt_cursor_descending () =
@@ -52,7 +58,7 @@ let test_dbt_cursor_descending () =
   let c = Dbt.Cursor.create t in
   let ok = ref true in
   for i = 499 downto 0 do
-    match Dbt.Cursor.find env c (i * 2) with
+    match cursor_find env c t (i * 2) with
     | Some (_, (k, _)) -> if k <> i * 2 then ok := false
     | None -> ok := false
   done;
@@ -65,7 +71,7 @@ let test_dbt_scan_seek_past_end () =
       (Array.init 10 (fun i -> (i, i)))
   in
   let s = Dbt.Scan.seek env t (Some 100) in
-  Alcotest.(check bool) "empty scan" true (Dbt.Scan.next env s = None)
+  Alcotest.(check bool) "empty scan" true (scan_next env t s = None)
 
 let prop_dbt_lower_bound_row =
   qtest "lower_bound_row = model"

@@ -252,6 +252,38 @@ let test_budget_invariant_under_load () =
   Alcotest.(check bool) "overshoot reached the budget" true
     (r.Driver.peak_pre_mem_bytes >= r.Driver.budget_bytes)
 
+(* The budget note reports the pre-enforcement peak as such, and the
+   overshoot as that peak minus the budget. *)
+let test_budget_note_overshoot () =
+  let mb = 1024 * 1024 in
+  let r =
+    {
+      Driver.r_cfg = Driver.config Lsm_harness.Scale.tiny;
+      rate_rps = 100.0;
+      capacity_rps = 0.0;
+      requests = 0;
+      classes = [];
+      backlog_frac = 0.0;
+      queue_growth = 1.0;
+      saturated = false;
+      budget_bytes = 4 * mb;
+      peak_mem_bytes = 3 * mb;
+      peak_pre_mem_bytes = 5 * mb;
+      evictions = 7;
+      resil = [];
+    }
+  in
+  Alcotest.(check string)
+    "note"
+    "global budget 4.00MB: aggregate memtable peak 3.00MB after eviction, \
+     5.00MB before (overshoot 1.00MB), 7 coordinator flushes"
+    (Lsm_serve.Serve_report.budget_note r);
+  let under = { r with Driver.peak_pre_mem_bytes = 2 * mb } in
+  Alcotest.(check bool)
+    "no overshoot under the budget" true
+    (String.ends_with ~suffix:"(overshoot 0.00MB), 7 coordinator flushes"
+       (Lsm_serve.Serve_report.budget_note under))
+
 let test_class_accounting () =
   let r = Lazy.force base_run in
   Alcotest.(check (list string))
@@ -438,6 +470,8 @@ let () =
         [
           Alcotest.test_case "budget invariant under load" `Quick
             test_budget_invariant_under_load;
+          Alcotest.test_case "budget note overshoot" `Quick
+            test_budget_note_overshoot;
           Alcotest.test_case "class accounting" `Quick test_class_accounting;
           Alcotest.test_case "deterministic for a seed" `Quick
             test_run_deterministic;

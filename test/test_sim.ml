@@ -11,36 +11,40 @@ let mk_env ?(cache_bytes = 4 * Device.hdd.Device.page_size) () =
 
 let test_cache_hit_miss () =
   let c = Buffer_cache.create ~capacity_pages:2 in
-  Alcotest.(check bool) "miss" false (Buffer_cache.touch c (1, 0));
-  Buffer_cache.insert c (1, 0);
-  Alcotest.(check bool) "hit" true (Buffer_cache.touch c (1, 0));
+  Alcotest.(check bool) "miss" false (Buffer_cache.touch c ~file:1 ~page:0);
+  Buffer_cache.insert c ~file:1 ~page:0;
+  Alcotest.(check bool) "hit" true (Buffer_cache.touch c ~file:1 ~page:0);
   Alcotest.(check int) "size" 1 (Buffer_cache.size c)
 
 let test_cache_lru_eviction () =
   let c = Buffer_cache.create ~capacity_pages:2 in
-  Buffer_cache.insert c (1, 0);
-  Buffer_cache.insert c (1, 1);
+  Buffer_cache.insert c ~file:1 ~page:0;
+  Buffer_cache.insert c ~file:1 ~page:1;
   (* Touch page 0 so page 1 becomes LRU. *)
-  ignore (Buffer_cache.touch c (1, 0));
-  Buffer_cache.insert c (1, 2);
-  Alcotest.(check bool) "page 0 kept" true (Buffer_cache.mem c (1, 0));
-  Alcotest.(check bool) "page 1 evicted" false (Buffer_cache.mem c (1, 1));
-  Alcotest.(check bool) "page 2 resident" true (Buffer_cache.mem c (1, 2));
+  ignore (Buffer_cache.touch c ~file:1 ~page:0);
+  Buffer_cache.insert c ~file:1 ~page:2;
+  Alcotest.(check bool) "page 0 kept" true (Buffer_cache.mem c ~file:1 ~page:0);
+  Alcotest.(check bool) "page 1 evicted" false
+    (Buffer_cache.mem c ~file:1 ~page:1);
+  Alcotest.(check bool) "page 2 resident" true
+    (Buffer_cache.mem c ~file:1 ~page:2);
   Alcotest.(check int) "at capacity" 2 (Buffer_cache.size c)
 
 let test_cache_drop_file () =
   let c = Buffer_cache.create ~capacity_pages:10 in
-  Buffer_cache.insert c (1, 0);
-  Buffer_cache.insert c (2, 0);
-  Buffer_cache.insert c (1, 5);
+  Buffer_cache.insert c ~file:1 ~page:0;
+  Buffer_cache.insert c ~file:2 ~page:0;
+  Buffer_cache.insert c ~file:1 ~page:5;
   Buffer_cache.drop_file c 1;
   Alcotest.(check int) "only file 2 left" 1 (Buffer_cache.size c);
-  Alcotest.(check bool) "file2 resident" true (Buffer_cache.mem c (2, 0))
+  Alcotest.(check bool) "file2 resident" true
+    (Buffer_cache.mem c ~file:2 ~page:0)
 
 let test_cache_zero_capacity () =
   let c = Buffer_cache.create ~capacity_pages:0 in
-  Buffer_cache.insert c (1, 0);
-  Alcotest.(check bool) "never caches" false (Buffer_cache.mem c (1, 0))
+  Buffer_cache.insert c ~file:1 ~page:0;
+  Alcotest.(check bool) "never caches" false
+    (Buffer_cache.mem c ~file:1 ~page:0)
 
 let test_cache_lru_chain_stress () =
   (* Insert far more than capacity; size must stay at capacity and the
@@ -48,13 +52,45 @@ let test_cache_lru_chain_stress () =
   let cap = 8 in
   let c = Buffer_cache.create ~capacity_pages:cap in
   for p = 0 to 99 do
-    Buffer_cache.insert c (0, p)
+    Buffer_cache.insert c ~file:0 ~page:p
   done;
   Alcotest.(check int) "size at cap" cap (Buffer_cache.size c);
   for p = 100 - cap to 99 do
-    Alcotest.(check bool) "recent resident" true (Buffer_cache.mem c (0, p))
+    Alcotest.(check bool) "recent resident" true
+      (Buffer_cache.mem c ~file:0 ~page:p)
   done;
-  Alcotest.(check bool) "old gone" false (Buffer_cache.mem c (0, 0))
+  Alcotest.(check bool) "old gone" false (Buffer_cache.mem c ~file:0 ~page:0)
+
+let test_cache_packed_key_bounds () =
+  let c = Buffer_cache.create ~capacity_pages:8 in
+  let top_file = (1 lsl 31) - 1 and top_page = (1 lsl 32) - 1 in
+  (* The extreme valid ids pack to distinct keys, and [drop_file]
+     recovers the file id from a packed key. *)
+  Buffer_cache.insert c ~file:top_file ~page:top_page;
+  Buffer_cache.insert c ~file:top_file ~page:0;
+  Buffer_cache.insert c ~file:0 ~page:top_page;
+  Alcotest.(check int) "three distinct pages" 3 (Buffer_cache.size c);
+  Alcotest.(check bool) "no alias at (0, 0)" false
+    (Buffer_cache.mem c ~file:0 ~page:0);
+  Buffer_cache.drop_file c top_file;
+  Alcotest.(check int) "top file dropped" 1 (Buffer_cache.size c);
+  Alcotest.(check bool) "other file kept" true
+    (Buffer_cache.mem c ~file:0 ~page:top_page);
+  (* Out-of-range ids are rejected, never aliased: (1, 2^32) would pack
+     onto the resident (2, 0). *)
+  Buffer_cache.insert c ~file:2 ~page:0;
+  let rejects name f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" name
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "page 2^32" (fun () -> Buffer_cache.mem c ~file:1 ~page:(1 lsl 32));
+  rejects "file 2^32" (fun () -> Buffer_cache.touch c ~file:(1 lsl 32) ~page:0);
+  rejects "file 2^31" (fun () ->
+      Buffer_cache.insert c ~file:(1 lsl 31) ~page:0);
+  rejects "negative page" (fun () -> Buffer_cache.remove c ~file:0 ~page:(-1));
+  rejects "negative file" (fun () -> Buffer_cache.insert c ~file:(-1) ~page:0);
+  Alcotest.(check int) "rejections change nothing" 2 (Buffer_cache.size c)
 
 (* A reference LRU model — MRU-first association list over the same op
    alphabet — run in lockstep with the real cache.  After every op the
@@ -102,7 +138,8 @@ let prop_cache_matches_model =
                 (fun f ->
                   List.for_all
                     (fun p ->
-                      Buffer_cache.mem c (f, p) = List.mem (f, p) !model)
+                      Buffer_cache.mem c ~file:f ~page:p
+                      = List.mem (f, p) !model)
                     [ 0; 1; 2; 3; 4; 5 ])
                 [ 0; 1; 2 ]
          in
@@ -110,19 +147,19 @@ let prop_cache_matches_model =
            (fun op ->
              (match op with
              | Insert (f, p) ->
-                 Buffer_cache.insert c (f, p);
+                 Buffer_cache.insert c ~file:f ~page:p;
                  model := model_insert cap !model (f, p)
              | Touch (f, p) ->
-                 let hit = Buffer_cache.touch c (f, p) in
+                 let hit = Buffer_cache.touch c ~file:f ~page:p in
                  let mhit = List.mem (f, p) !model in
                  if mhit then
                    model := (f, p) :: List.filter (( <> ) (f, p)) !model;
                  if hit <> mhit then failwith "touch hit mismatch"
              | Mem (f, p) ->
                  (* must not touch recency — checked by later evictions *)
-                 ignore (Buffer_cache.mem c (f, p))
+                 ignore (Buffer_cache.mem c ~file:f ~page:p)
              | Remove (f, p) ->
-                 Buffer_cache.remove c (f, p);
+                 Buffer_cache.remove c ~file:f ~page:p;
                  model := List.filter (( <> ) (f, p)) !model
              | Drop_file f ->
                  Buffer_cache.drop_file c f;
@@ -275,6 +312,8 @@ let () =
           Alcotest.test_case "drop file" `Quick test_cache_drop_file;
           Alcotest.test_case "zero capacity" `Quick test_cache_zero_capacity;
           Alcotest.test_case "lru stress" `Quick test_cache_lru_chain_stress;
+          Alcotest.test_case "packed key bounds" `Quick
+            test_cache_packed_key_bounds;
           prop_cache_matches_model;
         ] );
       ( "env",

@@ -1,4 +1,5 @@
-(* Tests for Lsm_util: RNG, Zipf, search primitives, bitsets, sorter, heap. *)
+(* Tests for Lsm_util: RNG, Zipf, search primitives, bitsets, sorter,
+   k-way merge. *)
 
 open Lsm_util
 
@@ -347,35 +348,165 @@ let test_dedup_sorted () =
   Alcotest.(check (array int)) "empty" [||] (Sorter.dedup_sorted ~eq:( = ) [||])
 
 (* ------------------------------------------------------------------ *)
-(* Heap *)
+(* Kmerge *)
 
-let prop_heap_sorts =
-  qtest "heap drains in sorted order"
+(* Reference: the classic array binary heap over [(key, stream)] pairs
+   the engine's merges used before [Kmerge], with a counting compare. *)
+module Ref_heap = struct
+  type t = {
+    cmp : int * int -> int * int -> int;
+    mutable data : (int * int) array;
+    mutable size : int;
+  }
+
+  let create cmp = { cmp; data = Array.make 64 (0, 0); size = 0 }
+  let is_empty t = t.size = 0
+
+  let swap t i j =
+    let x = t.data.(i) in
+    t.data.(i) <- t.data.(j);
+    t.data.(j) <- x
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.cmp t.data.(i) t.data.(parent) < 0 then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let smallest = ref i in
+    if l < t.size && t.cmp t.data.(l) t.data.(!smallest) < 0 then smallest := l;
+    if r < t.size && t.cmp t.data.(r) t.data.(!smallest) < 0 then smallest := r;
+    if !smallest <> i then begin
+      swap t i !smallest;
+      sift_down t !smallest
+    end
+
+  let push t x =
+    t.data.(t.size) <- x;
+    t.size <- t.size + 1;
+    sift_up t (t.size - 1)
+
+  let pop t =
+    let top = t.data.(0) in
+    t.size <- t.size - 1;
+    if t.size > 0 then begin
+      t.data.(0) <- t.data.(t.size);
+      sift_down t 0
+    end;
+    top
+end
+
+(* Merge sorted streams with the reference heap: the emitted
+   (key, stream) sequence, and the compare calls of each push or pop that
+   made any, in order (what a per-comparison charge would see). *)
+let ref_merge streams =
+  let calls = ref 0 and steps = ref [] in
+  let h =
+    Ref_heap.create (fun (k1, s1) (k2, s2) ->
+        incr calls;
+        let c = compare (k1 : int) k2 in
+        if c <> 0 then c else compare (s1 : int) s2)
+  in
+  let step f =
+    let before = !calls in
+    let r = f () in
+    if !calls > before then steps := (!calls - before) :: !steps;
+    r
+  in
+  let next = Array.make (Array.length streams) 0 in
+  let push s =
+    if next.(s) < Array.length streams.(s) then begin
+      step (fun () -> Ref_heap.push h (streams.(s).(next.(s)), s));
+      next.(s) <- next.(s) + 1
+    end
+  in
+  Array.iteri (fun s _ -> push s) streams;
+  let out = ref [] in
+  while not (Ref_heap.is_empty h) do
+    let k, s = step (fun () -> Ref_heap.pop h) in
+    push s;
+    out := (k, s) :: !out
+  done;
+  (List.rev !out, List.rev !steps)
+
+(* The same merge through [Kmerge], its [charge] reports as the steps;
+   also checks [last] against the key popped before, and that the
+   reports add up to the [cmp] calls. *)
+let kmerge_merge streams =
+  let calls = ref 0 and steps = ref [] in
+  let m =
+    Kmerge.create ~streams:(Array.length streams)
+      ~charge:(fun n -> steps := n :: !steps)
+      (fun a b ->
+        incr calls;
+        compare (a : int) b)
+  in
+  let next = Array.make (Array.length streams) 0 in
+  let push s =
+    if next.(s) < Array.length streams.(s) then begin
+      Kmerge.push m s streams.(s).(next.(s));
+      next.(s) <- next.(s) + 1
+    end
+  in
+  Array.iteri (fun s _ -> push s) streams;
+  let out = ref [] in
+  while not (Kmerge.is_empty m) do
+    let prev = Kmerge.last m in
+    let s = Kmerge.pop m in
+    let k = streams.(s).(next.(s) - 1) in
+    (match !out with
+    | (pk, _) :: _ -> if prev <> pk then failwith "Kmerge.last is stale"
+    | [] -> ());
+    push s;
+    out := (k, s) :: !out
+  done;
+  if List.fold_left ( + ) 0 !steps <> !calls then
+    failwith "Kmerge charged <> compared";
+  (List.rev !out, List.rev !steps)
+
+(* Up to 12 sorted streams over a small key range, so keys repeat within
+   and across streams. *)
+let gen_streams =
+  QCheck2.Gen.(
+    map
+      (fun ls ->
+        Array.of_list
+          (List.map (fun l -> Array.of_list (List.sort compare l)) ls))
+      (list_size (int_range 0 12)
+         (list_size (int_range 0 40) (int_range 0 30))))
+
+let prop_kmerge_matches_reference =
+  qtest ~count:300 "matches reference heap (order, compare counts)" gen_streams
+    (fun streams -> kmerge_merge streams = ref_merge streams)
+
+let prop_kmerge_sorts =
+  qtest "drains in sorted order"
     QCheck2.Gen.(list_size (int_range 0 300) (int_range (-1000) 1000))
     (fun l ->
-      let h = Heap.create compare in
-      List.iter (Heap.push h) l;
-      let out = ref [] in
-      let rec drain () =
-        match Heap.pop_opt h with
-        | Some x ->
-            out := x :: !out;
-            drain ()
-        | None -> ()
-      in
-      drain ();
-      List.rev !out = List.sort compare l)
+      (* One single-item stream per element. *)
+      let streams = Array.of_list (List.map (fun x -> [| x |]) l) in
+      let out, _ = kmerge_merge streams in
+      List.map fst out = List.sort compare l)
 
-let test_heap_interleaved () =
-  let h = Heap.create compare in
-  Heap.push h 5;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "pop" 1 (Heap.pop h);
-  Heap.push h 0;
-  Alcotest.(check int) "pop 0" 0 (Heap.pop h);
-  Alcotest.(check int) "pop 5" 5 (Heap.pop h);
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
+let test_kmerge_interleaved () =
+  let m = Kmerge.create ~streams:3 ~charge:ignore compare in
+  Kmerge.push m 0 5;
+  Kmerge.push m 1 1;
+  Alcotest.(check int) "pop min" 1 (Kmerge.pop m);
+  Alcotest.(check int) "last" 1 (Kmerge.last m);
+  Kmerge.push m 2 5;
+  Kmerge.push m 1 0;
+  Alcotest.(check int) "pop 0" 1 (Kmerge.pop m);
+  Alcotest.(check int) "tie: lower stream first" 0 (Kmerge.pop m);
+  Alcotest.(check int) "then stream 2" 2 (Kmerge.pop m);
+  Alcotest.(check bool) "empty" true (Kmerge.is_empty m);
+  Alcotest.check_raises "pop empty" (Invalid_argument "Kmerge.pop: empty")
+    (fun () -> ignore (Kmerge.pop m))
 
 let () =
   Alcotest.run "lsm_util"
@@ -422,9 +553,10 @@ let () =
           Alcotest.test_case "sort counts" `Quick test_sorter_counts;
           Alcotest.test_case "dedup_sorted" `Quick test_dedup_sorted;
         ] );
-      ( "heap",
+      ( "kmerge",
         [
-          prop_heap_sorts;
-          Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
+          prop_kmerge_sorts;
+          Alcotest.test_case "interleaved" `Quick test_kmerge_interleaved;
+          prop_kmerge_matches_reference;
         ] );
     ]
