@@ -72,6 +72,20 @@ grep -q '"schema": "lsm-repro-timeline/1"' /tmp/serve_tl_a.json
 cmp /tmp/serve_tl_a.json /tmp/serve_tl_b.json
 cmp /tmp/serve_tl_a.csv /tmp/serve_tl_b.csv
 
+# --- modelled-behaviour goldens ----------------------------------------
+# Simulated-clock output pinned byte for byte against test/golden/: three
+# tiny experiment tables and the seed-7 timeline above.  A host-only
+# change (allocation, data structures, refactors) keeps them identical.
+# A change meant to alter modelled behaviour regenerates them in the same
+# commit (test/golden/README.md has the commands) and says why in
+# CHANGES.md.
+for fig in fig12a fig16 fig19; do
+  dune exec bin/lsm_repro.exe -- run "$fig" -s tiny > "/tmp/golden_$fig.txt"
+  cmp "test/golden/$fig.txt" "/tmp/golden_$fig.txt"
+done
+cmp test/golden/serve_tl.json /tmp/serve_tl_a.json
+cmp test/golden/serve_tl.csv /tmp/serve_tl_a.csv
+
 # --- chaos gate --------------------------------------------------------
 # The serving layer under a deterministic partition-fault matrix (crash
 # + intermittent I/O + slow disk, one partition each) must keep serving,

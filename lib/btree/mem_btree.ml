@@ -219,16 +219,17 @@ struct
     in
     match t.root with None -> None | Some r -> go r
 
+  (* Top-level rather than local: a closure over [t] and [key] would be
+     allocated on every lookup. *)
+  let rec find_in t key = function
+    | L lf ->
+        let pos = leaf_lower_bound t lf key in
+        if pos < lf.ln && cmp t lf.lk.(pos) key = 0 then Some lf.lv.(pos)
+        else None
+    | I nd -> find_in t key nd.ic.(child_index t nd key)
+
   (** [find t key] returns the value bound to [key], if any. *)
-  let find t key =
-    let rec go = function
-      | L lf ->
-          let pos = leaf_lower_bound t lf key in
-          if pos < lf.ln && cmp t lf.lk.(pos) key = 0 then Some lf.lv.(pos)
-          else None
-      | I nd -> go nd.ic.(child_index t nd key)
-    in
-    match t.root with None -> None | Some r -> go r
+  let find t key = match t.root with None -> None | Some r -> find_in t key r
 
   let mem t key = Option.is_some (find t key)
 

@@ -101,16 +101,26 @@ module Make (R : Record.S) = struct
         (** > 1: the merge scheduler overlaps independent jobs *)
     mutable auto_maintenance : bool;
         (** flush/merge when the budget fills; disable to drive manually *)
+    entries : int Lsm_util.Vec.t;
+        (** the last secondary-index search's entries, four ints each:
+            secondary key, primary key, timestamp, and the repairedTS of
+            the source component (0 = memory) *)
   }
 
-  let total_mem_bytes t =
-    Prim.mem_bytes t.primary
-    + (match t.pk_index with Some pk -> Pk.mem_bytes pk | None -> 0)
+  (* One figure summed over every tree of the dataset: the primary index,
+     the primary key index, and each secondary with its deleted-key
+     tree. *)
+  let sum_trees t ~prim ~pk ~sec =
+    prim t.primary
+    + (match t.pk_index with Some x -> pk x | None -> 0)
     + Array.fold_left
         (fun acc s ->
-          acc + Sec.mem_bytes s.tree
-          + (match s.del_tree with Some d -> Pk.mem_bytes d | None -> 0))
+          acc + sec s.tree
+          + match s.del_tree with Some d -> pk d | None -> 0)
         0 t.secondaries
+
+  let total_mem_bytes t =
+    sum_trees t ~prim:Prim.mem_bytes ~pk:Pk.mem_bytes ~sec:Sec.mem_bytes
 
   let create ?filter_key ?(secondaries = []) env cfg =
     let bitmap = Strategy.uses_primary_bitmap cfg.strategy in
@@ -180,6 +190,7 @@ module Make (R : Record.S) = struct
           };
         maint_workers = max 1 cfg.maint_workers;
         auto_maintenance = true;
+        entries = Lsm_util.Vec.create ();
       }
     in
     (* Make the environment aware of this dataset's in-memory footprint,
@@ -953,15 +964,10 @@ module Make (R : Record.S) = struct
   (** Aggregate bytes of memory shard [s] across every tree of the
       dataset — the budget's eviction unit when sharded. *)
   let mem_shard_bytes t s =
-    Prim.mem_shard_bytes t.primary s
-    + (match t.pk_index with Some pk -> Pk.mem_shard_bytes pk s | None -> 0)
-    + Array.fold_left
-        (fun acc sx ->
-          acc + Sec.mem_shard_bytes sx.tree s
-          + (match sx.del_tree with
-            | Some d -> Pk.mem_shard_bytes d s
-            | None -> 0))
-        0 t.secondaries
+    sum_trees t
+      ~prim:(fun x -> Prim.mem_shard_bytes x s)
+      ~pk:(fun x -> Pk.mem_shard_bytes x s)
+      ~sec:(fun x -> Sec.mem_shard_bytes x s)
 
   (** [(shard, bytes)] of the fullest memory shard. *)
   let largest_mem_shard t =
@@ -1175,7 +1181,7 @@ module Make (R : Record.S) = struct
      (the primary key index, or a deleted-key tree)?  Components with
      maxTS <= threshold are pruned; [threshold] is at least the entry's own
      timestamp and its source component's repairedTS.  [comps] are [vt]'s
-     disk components and [cursors] a search cursor on each. *)
+     disk components and [cursors] their search cursors ([Pk.cursors]). *)
   let entry_is_valid (vt : Pk.t) ~comps ~cursors ~pk ~ts ~threshold =
     match Pk.mem_find vt pk with
     | Some row -> row.Pk.ts <= ts
@@ -1186,7 +1192,7 @@ module Make (R : Record.S) = struct
           let c = comps.(!i) in
           if c.Pk.cmax_ts <= threshold then i := Array.length comps
           else if Pk.probe_bloom vt c pk then begin
-            let pos = Pk.Dbt.Cursor.find_pos (Pk.env vt) cursors.(!i) pk in
+            let pos = Pk.cursor_find_pos vt cursors comps !i pk in
             if pos >= 0 then begin
               valid := (Pk.Dbt.rows c.Pk.tree).(pos).Pk.ts <= ts;
               i := Array.length comps
@@ -1378,9 +1384,7 @@ module Make (R : Record.S) = struct
            end
            else begin
              let comps = Pk.components vt in
-             let cursors =
-               Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree) comps
-             in
+             let cursors = Pk.cursors comps in
              (* The pruning bound is the component-level repairedTS,
                 exactly as Sec. 4.4 describes — not each entry's own
                 timestamp (a refinement that would erase the effect the
@@ -1440,18 +1444,10 @@ module Make (R : Record.S) = struct
     let count comps quarantined =
       Array.fold_left (fun a c -> if quarantined c then a + 1 else a) 0 comps
     in
-    count (Prim.components t.primary) Prim.quarantined
-    + (match t.pk_index with
-      | Some pk -> count (Pk.components pk) Pk.quarantined
-      | None -> 0)
-    + Array.fold_left
-        (fun acc s ->
-          acc
-          + count (Sec.components s.tree) Sec.quarantined
-          + match s.del_tree with
-            | Some d -> count (Pk.components d) Pk.quarantined
-            | None -> 0)
-        0 t.secondaries
+    sum_trees t
+      ~prim:(fun x -> count (Prim.components x) Prim.quarantined)
+      ~pk:(fun x -> count (Pk.components x) Pk.quarantined)
+      ~sec:(fun x -> count (Sec.components x) Sec.quarantined)
 
   (* Quarantine every component whose backing file holds a page that
      failed its checksum. *)
@@ -1692,26 +1688,25 @@ module Make (R : Record.S) = struct
   (* ------------------------------------------------------------------ *)
   (* Query processing (Secs. 3.2, 4.3, 6.2, 6.4) *)
 
-  (** One secondary-index search result before validation. *)
-  type sec_entry = {
-    e_sk : int;
-    e_pk : int;
-    e_ts : int;
-    e_src_repaired : int;  (** repairedTS of the source component *)
-  }
-
   (** How a secondary-index query deals with possibly-obsolete entries:
       [`Assume_valid] (Eager datasets), [`Direct] validation (fetch then
       re-check, Fig. 5a), or [`Timestamp] validation via the primary key
       index (Fig. 5b). *)
   type validation_mode = [ `Assume_valid | `Direct | `Timestamp ]
 
+  (* Entry [i] of the last secondary-index search, from [t.entries]. *)
+  let sk_of t i = Lsm_util.Vec.get t.entries (4 * i)
+  let pk_of t i = Lsm_util.Vec.get t.entries ((4 * i) + 1)
+  let ts_of t i = Lsm_util.Vec.get t.entries ((4 * i) + 2)
+  let repaired_of t i = Lsm_util.Vec.get t.entries ((4 * i) + 3)
+
   (** [search_secondary t sec ~lo ~hi] runs the index search itself,
-      returning matching entries (reconciled, bitmap-respected). *)
+      leaving the matching entries (reconciled, bitmap-respected) in
+      [t.entries]; returns their count. *)
   let search_secondary t sec ~lo ~hi =
     Lsm_sim.Env.span t.env ~cat:sec.sec_name "search.secondary" @@ fun () ->
-    let out = ref [] in
-    let n = ref 0 in
+    let e = t.entries in
+    Lsm_util.Vec.clear e;
     Sec.scan sec.tree
       {
         Sec.full_scan_spec with
@@ -1720,45 +1715,62 @@ module Make (R : Record.S) = struct
       }
       ~f:(fun row ~src_repaired ->
         let sk, pk = row.Sec.key in
-        incr n;
-        out := { e_sk = sk; e_pk = pk; e_ts = row.Sec.ts; e_src_repaired = src_repaired } :: !out);
-    Lsm_sim.Env.explain_count t.env "entries_matched" !n;
-    List.rev !out
+        Lsm_util.Vec.push e sk;
+        Lsm_util.Vec.push e pk;
+        Lsm_util.Vec.push e row.Sec.ts;
+        Lsm_util.Vec.push e src_repaired);
+    let n = Lsm_util.Vec.length e / 4 in
+    Lsm_sim.Env.explain_count t.env "entries_matched" n;
+    n
 
-  let sort_entries_by_pk t entries =
-    let arr = Array.of_list entries in
+  (* Entry indexes [0, n) in primary-key order.  [Array.sort]'s moves
+     depend only on comparison outcomes, so the comparisons charged and
+     the order reached are those of sorting the entries themselves. *)
+  let sort_entries_by_pk t n =
+    let order = Array.init n Fun.id in
     let cmps = ref 0 in
-    Lsm_util.Sorter.sort ~cmp:(fun a b -> compare a.e_pk b.e_pk) ~cost:cmps arr;
+    Lsm_util.Sorter.sort
+      ~cmp:(fun a b -> Int.compare (pk_of t a) (pk_of t b))
+      ~cost:cmps order;
     Lsm_sim.Env.charge_comparisons t.env !cmps;
-    arr
+    order
 
-  (* Timestamp validation (Fig. 5b): filter out entries superseded in the
-     primary key index (or deleted-key tree). *)
-  let timestamp_validate t sec entries_sorted =
+  (* Timestamp validation (Fig. 5b): compact [order] in place to the
+     entries not superseded in the primary key index (or deleted-key
+     tree); returns how many remain. *)
+  let timestamp_validate t sec order =
+    let n = Array.length order in
     match validation_index t sec with
-    | None -> Array.to_list entries_sorted
+    | None -> n
     | Some vt ->
         Lsm_sim.Env.span t.env ~cat:sec.sec_name "validate.timestamp"
         @@ fun () ->
         let comps = Pk.components vt in
-        let cursors =
-          Array.map (fun c -> Pk.Dbt.Cursor.create c.Pk.tree) comps
-        in
-        let valid =
-          List.filter
-            (fun e ->
-              entry_is_valid vt ~comps ~cursors ~pk:e.e_pk ~ts:e.e_ts
-                ~threshold:(max e.e_src_repaired e.e_ts))
-            (Array.to_list entries_sorted)
-        in
-        Lsm_sim.Env.explain_count t.env "entries_validated" (List.length valid);
-        Lsm_sim.Env.explain_count t.env "entries_discarded"
-          (Array.length entries_sorted - List.length valid);
-        valid
+        let cursors = Pk.cursors comps in
+        let m = ref 0 in
+        Array.iter
+          (fun i ->
+            let ts = ts_of t i in
+            if
+              entry_is_valid vt ~comps ~cursors ~pk:(pk_of t i) ~ts
+                ~threshold:(max (repaired_of t i) ts)
+            then begin
+              order.(!m) <- i;
+              incr m
+            end)
+          order;
+        Lsm_sim.Env.explain_count t.env "entries_validated" !m;
+        Lsm_sim.Env.explain_count t.env "entries_discarded" (n - !m);
+        !m
 
-  (* Fetch records for (already sorted) query keys via batched point
-     lookups; emission order is fetch order. *)
-  let fetch_records t ?(lookup = Prim.default_lookup_opts) qkeys =
+  (* Fetch the records of entries [order.(0 .. m-1)] (sorted by primary
+     key) via batched point lookups; emission order is fetch order. *)
+  let fetch_records t ~lookup ~hints order m =
+    let qkeys =
+      Array.init m (fun j ->
+          let i = order.(j) in
+          { Prim.qkey = pk_of t i; hint_ts = (if hints then ts_of t i else 0) })
+    in
     let out = ref [] in
     Prim.lookup_batch t.primary lookup qkeys ~emit:(fun _ row ->
         match row with
@@ -1772,43 +1784,34 @@ module Make (R : Record.S) = struct
   let query_secondary t ~sec ~lo ~hi ~(mode : validation_mode)
       ?(lookup = Prim.default_lookup_opts) () =
     Lsm_sim.Env.span t.env ~cat:sec "query.secondary" @@ fun () ->
-    Lsm_sim.Env.explain_annotate t.env
-      [
-        ("sec", sec);
-        ( "mode",
-          match mode with
-          | `Assume_valid -> "assume_valid"
-          | `Direct -> "direct"
-          | `Timestamp -> "timestamp" );
-      ];
+    if Lsm_obs.Explain.active (Lsm_sim.Env.explain t.env) then
+      Lsm_sim.Env.explain_annotate t.env
+        [
+          ("sec", sec);
+          ( "mode",
+            match mode with
+            | `Assume_valid -> "assume_valid"
+            | `Direct -> "direct"
+            | `Timestamp -> "timestamp" );
+        ];
     let s = secondary t sec in
-    let entries = search_secondary t s ~lo ~hi in
+    let n = search_secondary t s ~lo ~hi in
+    let hints = lookup.Prim.use_hints in
     match mode with
-    | `Assume_valid ->
-        let sorted = sort_entries_by_pk t entries in
-        let qkeys =
-          Array.map
-            (fun e ->
-              { Prim.qkey = e.e_pk; hint_ts = (if lookup.Prim.use_hints then e.e_ts else 0) })
-            sorted
-        in
-        fetch_records t ~lookup qkeys
+    | `Assume_valid -> fetch_records t ~lookup ~hints (sort_entries_by_pk t n) n
     | `Direct ->
         (* Sort-distinct, fetch, re-check the predicate (Fig. 5a). *)
         Lsm_sim.Env.span t.env ~cat:sec "validate.direct" @@ fun () ->
-        let sorted = sort_entries_by_pk t entries in
-        let pks =
-          Lsm_util.Sorter.dedup_sorted
-            ~eq:(fun a b -> a.e_pk = b.e_pk)
-            sorted
-        in
-        let qkeys =
-          Array.map
-            (fun e ->
-              { Prim.qkey = e.e_pk; hint_ts = 0 })
-            pks
-        in
-        let records = fetch_records t ~lookup qkeys in
+        let order = sort_entries_by_pk t n in
+        let m = ref 0 in
+        Array.iter
+          (fun i ->
+            if !m = 0 || pk_of t order.(!m - 1) <> pk_of t i then begin
+              order.(!m) <- i;
+              incr m
+            end)
+          order;
+        let records = fetch_records t ~lookup ~hints:false order !m in
         let live =
           List.filter
             (fun r ->
@@ -1820,15 +1823,8 @@ module Make (R : Record.S) = struct
           (List.length records - List.length live);
         live
     | `Timestamp ->
-        let sorted = sort_entries_by_pk t entries in
-        let valid = timestamp_validate t s sorted in
-        let qkeys =
-          Array.map
-            (fun e ->
-              { Prim.qkey = e.e_pk; hint_ts = (if lookup.Prim.use_hints then e.e_ts else 0) })
-            (Array.of_list valid)
-        in
-        fetch_records t ~lookup qkeys
+        let order = sort_entries_by_pk t n in
+        fetch_records t ~lookup ~hints order (timestamp_validate t s order)
 
   (** [query_secondary_keys t ~sec ~lo ~hi ~mode ()] is the index-only
       variant (Fig. 17): returns (secondary key, primary key) pairs without
@@ -1838,13 +1834,13 @@ module Make (R : Record.S) = struct
       ~(mode : [ `Assume_valid | `Timestamp ]) () =
     Lsm_sim.Env.span t.env ~cat:sec "query.secondary_keys" @@ fun () ->
     let s = secondary t sec in
-    let entries = search_secondary t s ~lo ~hi in
+    let n = search_secondary t s ~lo ~hi in
+    let pair i = (sk_of t i, pk_of t i) in
     match mode with
-    | `Assume_valid -> List.map (fun e -> (e.e_sk, e.e_pk)) entries
+    | `Assume_valid -> List.init n pair
     | `Timestamp ->
-        let sorted = sort_entries_by_pk t entries in
-        let valid = timestamp_validate t s sorted in
-        List.map (fun e -> (e.e_sk, e.e_pk)) valid
+        let order = sort_entries_by_pk t n in
+        List.init (timestamp_validate t s order) (fun j -> pair order.(j))
 
   (** [full_scan t ~f] streams every live record (reconciled); returns the
       record count.  The fallback plan secondary indexes compete against
@@ -1892,55 +1888,47 @@ module Make (R : Record.S) = struct
       | None -> false
       | Some (a, b) -> not (b < tlo || a > thi)
     in
-    let n = ref 0 in
-    let visit r =
-      let v = fk r in
-      if v >= tlo && v <= thi then begin
-        incr n;
-        f r
-      end
-    in
-    let note_pruning only =
-      Lsm_sim.Env.explain_count t.env "components_scanned" (List.length only);
-      Lsm_sim.Env.explain_count t.env "components_pruned"
-        (List.length comps - List.length only)
-    in
-    (match t.cfg.strategy with
-    | Strategy.Mutable_bitmap _ ->
-        let only = List.filter overlaps comps in
-        note_pruning only;
-        Prim.scan t.primary
+    let spec =
+      match t.cfg.strategy with
+      | Strategy.Mutable_bitmap _ ->
           {
             Prim.full_scan_spec with
             reconcile = false;
             include_mem = mem_overlaps;
-            only = Some only;
+            only = Some (List.filter overlaps comps);
           }
-          ~f:(fun row ~src_repaired:_ ->
-            match row.Prim.value with Entry.Put r -> visit r | Entry.Del -> ())
-    | Strategy.Eager ->
-        let only = List.filter overlaps comps in
-        note_pruning only;
-        Prim.scan t.primary
-          { Prim.full_scan_spec with include_mem = mem_overlaps; only = Some only }
-          ~f:(fun row ~src_repaired:_ ->
-            match row.Prim.value with Entry.Put r -> visit r | Entry.Del -> ())
-    | Strategy.Validation _ | Strategy.Deleted_key_btree ->
-        (* Find the oldest overlapping component; everything newer must be
-           read too, to not miss overriding updates (Sec. 4.2). *)
-        let arr = Array.of_list comps in
-        let oldest = ref (-1) in
-        Array.iteri (fun i c -> if overlaps c then oldest := i) arr;
-        let only =
-          if !oldest < 0 then []
-          else Array.to_list (Array.sub arr 0 (!oldest + 1))
-        in
-        let include_mem = mem_overlaps || !oldest >= 0 in
-        note_pruning only;
-        Prim.scan t.primary
-          { Prim.full_scan_spec with include_mem; only = Some only }
-          ~f:(fun row ~src_repaired:_ ->
-            match row.Prim.value with Entry.Put r -> visit r | Entry.Del -> ()));
+      | Strategy.Eager ->
+          {
+            Prim.full_scan_spec with
+            include_mem = mem_overlaps;
+            only = Some (List.filter overlaps comps);
+          }
+      | Strategy.Validation _ | Strategy.Deleted_key_btree ->
+          (* Find the oldest overlapping component; everything newer must
+             be read too, to not miss overriding updates (Sec. 4.2). *)
+          let arr = Array.of_list comps in
+          let oldest = ref (-1) in
+          Array.iteri (fun i c -> if overlaps c then oldest := i) arr;
+          {
+            Prim.full_scan_spec with
+            include_mem = mem_overlaps || !oldest >= 0;
+            only = Some (Array.to_list (Array.sub arr 0 (!oldest + 1)));
+          }
+    in
+    let only = Option.get spec.Prim.only in
+    Lsm_sim.Env.explain_count t.env "components_scanned" (List.length only);
+    Lsm_sim.Env.explain_count t.env "components_pruned"
+      (List.length comps - List.length only);
+    let n = ref 0 in
+    Prim.scan t.primary spec ~f:(fun row ~src_repaired:_ ->
+        match row.Prim.value with
+        | Entry.Put r ->
+            let v = fk r in
+            if v >= tlo && v <= thi then begin
+              incr n;
+              f r
+            end
+        | Entry.Del -> ());
     !n
 
   (** [point_query t pk] is a primary-key point query. *)
@@ -1976,11 +1964,6 @@ module Make (R : Record.S) = struct
   let set_auto_maintenance t v = t.auto_maintenance <- v
 
   let total_disk_bytes t =
-    Prim.disk_size_bytes t.primary
-    + (match t.pk_index with Some pk -> Pk.disk_size_bytes pk | None -> 0)
-    + Array.fold_left
-        (fun acc s ->
-          acc + Sec.disk_size_bytes s.tree
-          + (match s.del_tree with Some d -> Pk.disk_size_bytes d | None -> 0))
-        0 t.secondaries
+    sum_trees t ~prim:Prim.disk_size_bytes ~pk:Pk.disk_size_bytes
+      ~sec:Sec.disk_size_bytes
 end

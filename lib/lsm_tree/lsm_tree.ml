@@ -49,7 +49,7 @@ module Make (K : KEY) (V : VALUE) = struct
   let row_size r = K.byte_size r.key + 8 + Entry.byte_size V.byte_size r.value
 
   type mem_component = {
-    table : (int * V.t Entry.t) Mbt.t;  (** key -> (ts, entry) *)
+    table : row Mbt.t;  (** key -> newest row; handed out as is *)
     mutable bytes : int;
     mutable min_ts : int;  (** max_int when empty *)
     mutable max_ts : int;  (** -1 when empty *)
@@ -180,10 +180,11 @@ module Make (K : KEY) (V : VALUE) = struct
     List.fold_left (fun acc c -> acc + component_size_bytes t c) 0 t.disk
 
   let charge_mem_cmps t =
-    Lsm_sim.Env.charge_comparisons t.env
-      (Array.fold_left
-         (fun acc m -> acc + Mbt.take_comparisons m.table)
-         0 t.mems)
+    let n = ref 0 in
+    for s = 0 to Array.length t.mems - 1 do
+      n := !n + Mbt.take_comparisons t.mems.(s).table
+    done;
+    Lsm_sim.Env.charge_comparisons t.env !n
 
   (* ------------------------------------------------------------------ *)
   (* Sorted views (REMIX): lifecycle *)
@@ -225,11 +226,7 @@ module Make (K : KEY) (V : VALUE) = struct
 
   let view_matches comps_a built =
     Array.length built = Array.length comps_a
-    && begin
-         let ok = ref true in
-         Array.iteri (fun i c -> if built.(i) != c then ok := false) comps_a;
-         !ok
-       end
+    && Array.for_all2 ( == ) comps_a built
 
   (* Build (or reuse) the view covering exactly [comps_a] = the current
      disk list.  The build is charged through [Env] (merge comparisons +
@@ -280,15 +277,11 @@ module Make (K : KEY) (V : VALUE) = struct
       within a component).  [Put] values widen the range filter. *)
   let write t ~key ~ts entry =
     let m = t.mems.(shard_of t key) in
-    let old = Mbt.put m.table key (ts, entry) in
+    let row = { key; ts; value = entry } in
+    let old = Mbt.put m.table key row in
     charge_mem_cmps t;
-    let new_size = K.byte_size key + 8 + Entry.byte_size V.byte_size entry in
-    (match old with
-    | Some (_, old_e) ->
-        m.bytes <-
-          m.bytes - (K.byte_size key + 8 + Entry.byte_size V.byte_size old_e)
-    | None -> ());
-    m.bytes <- m.bytes + new_size;
+    (match old with Some o -> m.bytes <- m.bytes - row_size o | None -> ());
+    m.bytes <- m.bytes + row_size row;
     if ts < m.min_ts then m.min_ts <- ts;
     if ts > m.max_ts then m.max_ts <- ts;
     (match (entry, t.filter_of) with
@@ -305,15 +298,13 @@ module Make (K : KEY) (V : VALUE) = struct
   let mem_rollback t ~key ~prior =
     let m = t.mems.(shard_of t key) in
     (match Mbt.remove m.table key with
-    | Some (_, old_e) ->
-        m.bytes <-
-          m.bytes - (K.byte_size key + 8 + Entry.byte_size V.byte_size old_e)
+    | Some o -> m.bytes <- m.bytes - row_size o
     | None -> ());
     (match prior with
-    | Some ((ts : int), entry) ->
-        ignore (Mbt.put m.table key (ts, entry));
-        m.bytes <-
-          m.bytes + K.byte_size key + 8 + Entry.byte_size V.byte_size entry
+    | Some (ts, value) ->
+        let row = { key; ts; value } in
+        ignore (Mbt.put m.table key row);
+        m.bytes <- m.bytes + row_size row
     | None -> ());
     charge_mem_cmps t
 
@@ -326,11 +317,10 @@ module Make (K : KEY) (V : VALUE) = struct
   let mem_find t key =
     let r = Mbt.find t.mems.(shard_of t key).table key in
     charge_mem_cmps t;
-    match r with
-    | None -> None
-    | Some (ts, entry) ->
-        Lsm_sim.Env.charge_entry_visits t.env 1;
-        Some { key; ts; value = entry }
+    (match r with
+    | Some _ -> Lsm_sim.Env.charge_entry_visits t.env 1
+    | None -> ());
+    r
 
   (* ------------------------------------------------------------------ *)
   (* Bloom filter probing with cost accounting *)
@@ -405,9 +395,44 @@ module Make (K : KEY) (V : VALUE) = struct
     }
 
   let shard_rows m =
-    Array.map
-      (fun (key, (ts, entry)) -> { key; ts; value = entry })
-      (Mbt.to_sorted_array m.table)
+    match Mbt.min_binding m.table with
+    | None -> [||]
+    | Some (_, r0) ->
+        let rows = Array.make (Mbt.length m.table) r0 and i = ref 0 in
+        Mbt.iter m.table (fun _ r ->
+            rows.(!i) <- r;
+            incr i);
+        rows
+
+  (* [rows_of] applied to every shard, in key order: shard key sets are
+     disjoint, so sorting the concatenation reproduces exactly the rows a
+     single memtable would hold (differential byte-identity). *)
+  let across_shards t rows_of =
+    if Array.length t.mems = 1 then rows_of t.mems.(0)
+    else begin
+      let all = Array.concat (Array.to_list (Array.map rows_of t.mems)) in
+      Array.sort
+        (fun a b ->
+          Lsm_sim.Env.charge_comparisons t.env 1;
+          K.compare a.key b.key)
+        all;
+      all
+    end
+
+  (** [mem_filter t] is the memory component's current range-filter
+      bounds (the union over shards), if the tree has a filter and the
+      component is non-empty. *)
+  let mem_filter t =
+    if t.filter_of = None then None
+    else
+      Array.fold_left
+        (fun acc m ->
+          if m.fmin <= m.fmax then
+            match acc with
+            | None -> Some (m.fmin, m.fmax)
+            | Some (a, b) -> Some (min a m.fmin, max b m.fmax)
+          else acc)
+        None t.mems
 
   (* Flush pre-sorted rows into a fresh newest component.  [fault] is the
      fault-point prefix — "lsm.flush" for whole-memory flushes,
@@ -462,36 +487,9 @@ module Make (K : KEY) (V : VALUE) = struct
         end
     | None ->
         if not (mem_is_empty t) then begin
-          let rows =
-            if Array.length t.mems = 1 then shard_rows t.mems.(0)
-            else begin
-              (* Shard key sets are disjoint, so sorting the concatenation
-                 reproduces exactly the rows a single memtable would have
-                 held (differential byte-identity). *)
-              let all =
-                Array.concat (Array.to_list (Array.map shard_rows t.mems))
-              in
-              Array.sort
-                (fun a b ->
-                  Lsm_sim.Env.charge_comparisons t.env 1;
-                  K.compare a.key b.key)
-                all;
-              all
-            end
-          in
+          let rows = across_shards t shard_rows in
           let cmin_ts, cmax_ts = mem_id t in
-          let range_filter =
-            if t.filter_of = None then None
-            else
-              Array.fold_left
-                (fun acc m ->
-                  if m.fmin <= m.fmax then
-                    match acc with
-                    | None -> Some (m.fmin, m.fmax)
-                    | Some (a, b) -> Some (min a m.fmin, max b m.fmax)
-                  else acc)
-                None t.mems
-          in
+          let range_filter = mem_filter t in
           let prov =
             [
               {
@@ -601,6 +599,23 @@ module Make (K : KEY) (V : VALUE) = struct
     done;
     not (Lsm_util.Kmerge.is_empty m)
 
+  (** [replace_range t ~first ~last c] atomically replaces the component
+      range [first..last] (newest-first indices) with [c], deleting the
+      old components' files. *)
+  let replace_range t ~first ~last c =
+    let comps = Array.of_list t.disk in
+    let n = Array.length comps in
+    if not (0 <= first && first <= last && last < n) then
+      invalid_arg "Lsm_tree.replace_range: bad range";
+    invalidate_view t;
+    t.disk <-
+      List.filteri (fun i _ -> i < first) t.disk
+      @ [ c ]
+      @ List.filteri (fun i _ -> i > last) t.disk;
+    for i = first to last do
+      Dbt.delete t.env comps.(i).tree
+    done
+
   (** [merge_finish t j] builds and installs the merged component,
       deletes the inputs' files, and announces [lsm.merge.install].  The
       input components must still be present as a contiguous run —
@@ -613,19 +628,15 @@ module Make (K : KEY) (V : VALUE) = struct
     let k = Array.length inputs in
     let comps = Array.of_list t.disk in
     let n = Array.length comps in
-    let found = ref (-1) in
-    Array.iteri
-      (fun i c -> if !found < 0 && c == inputs.(0) then found := i)
-      comps;
-    let stable =
-      !found >= 0
-      && !found + k <= n
-      && Array.for_all
-           (fun i -> comps.(!found + i) == inputs.(i))
-           (Array.init k Fun.id)
-    in
-    if not stable then invalid_arg "Lsm_tree.merge_finish: tree changed";
-    let first = !found in
+    let first = ref 0 in
+    while !first < n && comps.(!first) != inputs.(0) do
+      incr first
+    done;
+    let first = !first in
+    if
+      first + k > n
+      || not (Array.for_all2 ( == ) inputs (Array.sub comps first k))
+    then invalid_arg "Lsm_tree.merge_finish: tree changed";
     let last = first + k - 1 in
     let rows = Array.of_list (List.rev j.mj_out) in
     let cmin_ts =
@@ -668,12 +679,7 @@ module Make (K : KEY) (V : VALUE) = struct
     let merged =
       mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts ~prov
     in
-    invalidate_view t;
-    t.disk <-
-      List.filteri (fun i _ -> i < first) t.disk
-      @ [ merged ]
-      @ List.filteri (fun i _ -> i > last) t.disk;
-    Array.iter (fun c -> Dbt.delete t.env c.tree) inputs;
+    replace_range t ~first ~last merged;
     Lsm_obs.Ampstats.on_merge
       (Lsm_sim.Env.amp t.env)
       ~bytes_read:j.mj_input_bytes
@@ -706,23 +712,6 @@ module Make (K : KEY) (V : VALUE) = struct
   let build_component ?(prov = []) t rows ~cmin_ts ~cmax_ts ~range_filter
       ~repaired_ts =
     mk_component t rows ~cmin_ts ~cmax_ts ~range_filter ~repaired_ts ~prov
-
-  (** [replace_range t ~first ~last c] atomically replaces the component
-      range [first..last] (newest-first indices) with [c], deleting the
-      old components' files. *)
-  let replace_range t ~first ~last c =
-    let comps = Array.of_list t.disk in
-    let n = Array.length comps in
-    if not (0 <= first && first <= last && last < n) then
-      invalid_arg "Lsm_tree.replace_range: bad range";
-    invalidate_view t;
-    t.disk <-
-      List.filteri (fun i _ -> i < first) t.disk
-      @ [ c ]
-      @ List.filteri (fun i _ -> i > last) t.disk;
-    for i = first to last do
-      Dbt.delete t.env comps.(i).tree
-    done
 
   (** [remove_component t ~at] removes the component at newest-first index
       [at], deleting its file.  Recovery-only: rolls a tree back to a
@@ -850,20 +839,21 @@ module Make (K : KEY) (V : VALUE) = struct
     Lsm_sim.Sfile.scan_all t.env (Dbt.file c.tree);
     Lsm_sim.Env.charge_entry_visits t.env (Dbt.nrows c.tree)
 
-  (** [mem_filter t] is the memory component's current range-filter
-      bounds (the union over shards), if the tree has a filter and the
-      component is non-empty. *)
-  let mem_filter t =
-    if t.filter_of = None then None
-    else
-      Array.fold_left
-        (fun acc m ->
-          if m.fmin <= m.fmax then
-            match acc with
-            | None -> Some (m.fmin, m.fmax)
-            | Some (a, b) -> Some (min a m.fmin, max b m.fmax)
-          else acc)
-        None t.mems
+  (** [cursors comps] holds one stateful search cursor per component of
+      [comps], each built by its first {!cursor_find_pos} — the state it
+      starts from is the same as if it had been built up front. *)
+  let cursors comps = Array.make (Array.length comps) None
+
+  let cursor_find_pos t cursors comps i key =
+    let cur =
+      match cursors.(i) with
+      | Some cur -> cur
+      | None ->
+          let cur = Dbt.Cursor.create comps.(i).tree in
+          cursors.(i) <- Some cur;
+          cur
+    in
+    Dbt.Cursor.find_pos t.env cur key
 
   (** [lookup_batch t opts qkeys ~emit] resolves many point lookups.
       [qkeys] must be sorted ascending by key.  [emit key row_opt] is
@@ -878,22 +868,18 @@ module Make (K : KEY) (V : VALUE) = struct
         (if opts.batched then "lsm.lookup.batched" else "lsm.lookup.naive")
       @@ fun () ->
       begin
-      Lsm_sim.Env.explain_annotate t.env
-        [
-          ("keys", string_of_int nq);
-          ("stateful", string_of_bool opts.stateful);
-          ("hints", string_of_bool opts.use_hints);
-        ];
+      if Lsm_obs.Explain.active (Lsm_sim.Env.explain t.env) then
+        Lsm_sim.Env.explain_annotate t.env
+          [
+            ("keys", string_of_int nq);
+            ("stateful", string_of_bool opts.stateful);
+            ("hints", string_of_bool opts.use_hints);
+          ];
       let comps = Array.of_list t.disk in
-      let cursors =
-        if opts.stateful then
-          Some (Array.map (fun c -> Dbt.Cursor.create c.tree) comps)
-        else None
-      in
+      let cursors = cursors comps in
       let find_in ci key =
-        match cursors with
-        | Some cs -> Dbt.Cursor.find_pos t.env cs.(ci) key
-        | None -> Dbt.find_pos t.env comps.(ci).tree key
+        if opts.stateful then cursor_find_pos t cursors comps ci key
+        else Dbt.find_pos t.env comps.(ci).tree key
       in
       let per_batch =
         if not opts.batched then 1
@@ -989,54 +975,37 @@ module Make (K : KEY) (V : VALUE) = struct
       only = None;
     }
 
-  (* Materialize the in-range slice of the memory component: each shard
-     contributes its sorted in-range rows; shard key sets are disjoint,
-     so sorting the concatenation reproduces the single-memtable slice
-     byte for byte. *)
+  (* [k] is within the spec's upper bound (one charged comparison). *)
+  let in_hi t spec k =
+    match spec.hi with
+    | None -> true
+    | Some h ->
+        Lsm_sim.Env.charge_comparisons t.env 1;
+        K.compare k h <= 0
+
+  (* Materialize the in-range slice of the memory component: the stored
+     rows themselves, no copies. *)
   let mem_slice t spec =
     if not spec.include_mem then [||]
     else begin
-      let hi_ok k =
-        match spec.hi with
-        | None -> true
-        | Some h ->
-            Lsm_sim.Env.charge_comparisons t.env 1;
-            K.compare k h <= 0
-      in
       let count = ref 0 in
       let slice_one m =
-        let buf = ref [] in
-        (match spec.lo with
-        | None ->
-            Mbt.iter m.table (fun k (ts, e) ->
-                if hi_ok k then begin
-                  buf := { key = k; ts; value = e } :: !buf;
-                  incr count
-                end)
-        | Some lo ->
-            Mbt.iter_from m.table lo (fun k (ts, e) ->
-                if hi_ok k then begin
-                  buf := { key = k; ts; value = e } :: !buf;
-                  incr count;
-                  true
-                end
-                else false));
-        Array.of_list (List.rev !buf)
+        match (spec.lo, spec.hi) with
+        | None, None ->
+            (* Unbounded: the whole shard, no bound to compare against. *)
+            count := !count + Mbt.length m.table;
+            shard_rows m
+        | lo, _ ->
+            let buf = ref [] in
+            let take k r =
+              in_hi t spec k && (buf := r :: !buf; incr count; true)
+            in
+            (match lo with
+            | None -> Mbt.iter m.table (fun k r -> ignore (take k r))
+            | Some lo -> Mbt.iter_from m.table lo take);
+            Array.of_list (List.rev !buf)
       in
-      let rows =
-        if Array.length t.mems = 1 then slice_one t.mems.(0)
-        else begin
-          let all =
-            Array.concat (Array.to_list (Array.map slice_one t.mems))
-          in
-          Array.sort
-            (fun a b ->
-              Lsm_sim.Env.charge_comparisons t.env 1;
-              K.compare a.key b.key)
-            all;
-          all
-        end
-      in
+      let rows = across_shards t slice_one in
       charge_mem_cmps t;
       Lsm_sim.Env.charge_entry_visits t.env !count;
       rows
@@ -1145,13 +1114,7 @@ module Make (K : KEY) (V : VALUE) = struct
     let comps =
       match spec.only with Some cs -> cs | None -> t.disk
     in
-    let in_hi k =
-      match spec.hi with
-      | None -> true
-      | Some h ->
-          Lsm_sim.Env.charge_comparisons t.env 1;
-          K.compare k h <= 0
-    in
+    let in_hi = in_hi t spec in
     if view_usable t spec then scan_view t spec ~f
     else if spec.reconcile then begin
       (if t.views_enabled && List.length t.disk >= view_min_components then begin

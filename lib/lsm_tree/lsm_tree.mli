@@ -265,6 +265,15 @@ module Make (K : KEY) (V : VALUE) : sig
   (** Newest *disk* entry (component, position, row), ignoring memory and
       bitmaps — the Mutable-bitmap strategy's bit-location search. *)
 
+  val cursors : disk_component array -> row Dbt.Cursor.cur option array
+
+  val cursor_find_pos :
+    t -> row Dbt.Cursor.cur option array -> disk_component array -> int ->
+    K.t -> int
+  (** [cursor_find_pos t (cursors comps) comps i key]: the row index of
+      [key] in [comps.(i)] or [-1], searched with that component's
+      stateful cursor, which its first search builds. *)
+
   val lookup_batch :
     t -> lookup_opts -> query_key array -> emit:(K.t -> row option -> unit) -> unit
   (** Resolve many point lookups; [qkeys] sorted ascending.  [emit] fires

@@ -39,27 +39,34 @@ let upper_bound ~cmp ~cost a ~lo ~hi key =
     O(log distance) instead of O(log n). *)
 let exponential_lower_bound ~cmp ~cost a ~lo ~hi ~start key =
   let start = if start < lo then lo else if start > hi then hi else start in
+  (* Loops, not local recursive functions: those allocate a closure. *)
+  let step = ref 1 and bound = ref start and found = ref (-1) in
   if start >= hi || (incr cost; cmp a.(start) key >= 0) then
     (* Answer is at or before [start]: gallop backwards.  Invariant: the
-       lower bound lies in [lo, high] and either [high = start] or
-       [a.(high) >= key], so [lower_bound] returning [high] is correct. *)
-    let rec back step high =
-      let probe = start - step in
-      if probe <= lo then lower_bound ~cmp ~cost a ~lo ~hi:high key
-      else if (incr cost; cmp a.(probe) key >= 0) then back (step * 2) probe
-      else lower_bound ~cmp ~cost a ~lo:(probe + 1) ~hi:high key
-    in
-    back 1 start
+       lower bound lies in [lo, !bound] and either [!bound = start] or
+       [a.(!bound) >= key], so [lower_bound] returning [!bound] is
+       correct. *)
+    while !found < 0 do
+      let probe = start - !step in
+      if probe <= lo then found := lower_bound ~cmp ~cost a ~lo ~hi:!bound key
+      else if (incr cost; cmp a.(probe) key >= 0) then (
+        step := !step * 2;
+        bound := probe)
+      else found := lower_bound ~cmp ~cost a ~lo:(probe + 1) ~hi:!bound key
+    done
   else
     (* Answer is strictly after [start]: gallop forwards.  Invariant:
-       [a.(low) < key], so the lower bound lies in (low, hi]. *)
-    let rec fwd step low =
-      let probe = start + step in
-      if probe >= hi then lower_bound ~cmp ~cost a ~lo:(low + 1) ~hi key
-      else if (incr cost; cmp a.(probe) key < 0) then fwd (step * 2) probe
-      else lower_bound ~cmp ~cost a ~lo:(low + 1) ~hi:probe key
-    in
-    fwd 1 start
+       [a.(!bound) < key], so the lower bound lies in (!bound, hi]. *)
+    while !found < 0 do
+      let probe = start + !step in
+      if probe >= hi then
+        found := lower_bound ~cmp ~cost a ~lo:(!bound + 1) ~hi key
+      else if (incr cost; cmp a.(probe) key < 0) then (
+        step := !step * 2;
+        bound := probe)
+      else found := lower_bound ~cmp ~cost a ~lo:(!bound + 1) ~hi:probe key
+    done;
+  !found
 
 (** [binary_find ~cmp ~cost a key] returns [Some i] with [cmp a.(i) key = 0]
     if present in the sorted array [a]. *)

@@ -9,6 +9,7 @@ type 'a t = { mutable data : 'a array; mutable len : int }
 let create () = { data = [||]; len = 0 }
 
 let length t = t.len
+let clear t = t.len <- 0
 
 let push t x =
   if Array.length t.data = 0 then t.data <- Array.make 16 x

@@ -6,6 +6,10 @@ type 'a t
 
 val create : unit -> 'a t
 val length : 'a t -> int
+
+val clear : 'a t -> unit
+(** Empty the vector, keeping its storage for reuse. *)
+
 val push : 'a t -> 'a -> unit
 
 val get : 'a t -> int -> 'a

@@ -102,6 +102,42 @@ let test_delete_removes () =
   D.delete d ~pk:42;
   Alcotest.(check bool) "still empty" true (D.point_query d 42 = None)
 
+(* A Timestamp-validated secondary query carries its entries in flat int
+   arrays and hands the engine's stored rows around, so its allocation
+   stays within a fixed budget per matched entry: mostly the query keys
+   and the result list.  The bound is twice the 19.3 words per entry
+   measured on this dataset. *)
+let words_per_entry_bound = 39.0
+
+let test_timestamp_query_allocation () =
+  let env = mk_env () in
+  let d =
+    mk_dataset ~strategy:Strategy.validation_no_repair ~mem_budget:4096 env
+  in
+  for i = 1 to 1200 do
+    D.upsert d (tw ~user:(i mod 100) ~at:i i)
+  done;
+  (* Re-home every other record: the old secondary entries go obsolete. *)
+  for i = 1 to 600 do
+    D.upsert d (tw ~user:(i * 7 mod 100) ~at:(1200 + i) (2 * i))
+  done;
+  let entries =
+    List.length
+      (D.query_secondary_keys d ~sec:"user_id" ~lo:20 ~hi:29
+         ~mode:`Assume_valid ())
+  in
+  let query () =
+    ignore (D.query_secondary d ~sec:"user_id" ~lo:20 ~hi:29 ~mode:`Timestamp ())
+  in
+  query ();
+  let w0 = Gc.minor_words () in
+  query ();
+  let per_entry = (Gc.minor_words () -. w0) /. Float.of_int entries in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.1f words/entry <= %.0f" per_entry words_per_entry_bound)
+    true
+    (entries > 100 && per_entry <= words_per_entry_bound)
+
 let test_running_example () =
   (* The UserLocation running example of Figs. 2-4: upsert (101, NY, 2018)
      over (101, CA, 2015); a location query for CA must return only 102. *)
@@ -594,6 +630,8 @@ let () =
           Alcotest.test_case "index-only queries" `Quick test_index_only_queries;
           Alcotest.test_case "insert without pk index" `Quick
             test_insert_without_pk_index;
+          Alcotest.test_case "timestamp query allocation" `Quick
+            test_timestamp_query_allocation;
         ] );
       ( "model",
         [

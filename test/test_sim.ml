@@ -170,6 +170,136 @@ let prop_cache_matches_model =
              agree ())
            ops))
 
+(* Differential against a list-based reference LRU, MRU first — the model
+   is the oracle.  Every [touch] and [mem] answer, the size and the victim
+   of every eviction must match, over capacities 0-64 and files 0-5.  A
+   [Touch k] followed by [Insert k] is [Env.read_page]'s miss-then-admit
+   sequence, which admits into the slot the miss probe ended on — also
+   after a removal in between has shifted the table under it. *)
+let prop_cache_differential =
+  let open QCheck2 in
+  let key = Gen.(pair (int_range 0 5) (int_range 0 15)) in
+  let op =
+    Gen.(
+      frequency
+        [
+          (5, map (fun (f, p) -> [ Insert (f, p) ]) key);
+          (3, map (fun (f, p) -> [ Touch (f, p) ]) key);
+          (3, map (fun (f, p) -> [ Touch (f, p); Insert (f, p) ]) key);
+          ( 2,
+            map2
+              (fun (f, p) (f', p') ->
+                [ Touch (f, p); Remove (f', p'); Insert (f, p) ])
+              key key );
+          (2, map (fun (f, p) -> [ Mem (f, p) ]) key);
+          (2, map (fun (f, p) -> [ Remove (f, p) ]) key);
+          (1, map (fun f -> [ Drop_file f ]) (int_range 0 5));
+          (1, return [ Clear ]);
+        ])
+  in
+  QCheck_alcotest.to_alcotest
+    (Test.make ~count:200 ~name:"differential vs reference lru"
+       Gen.(pair (int_range 0 64) (map List.concat (list_size (int_range 0 300) op)))
+       (fun (cap, ops) ->
+         let c = Buffer_cache.create ~capacity_pages:cap in
+         let model = ref [] in
+         let resident (f, p) = Buffer_cache.mem c ~file:f ~page:p in
+         let drop k = model := List.filter (( <> ) k) !model in
+         List.for_all
+           (fun op ->
+             let answer_ok =
+               match op with
+               | Insert (f, p) ->
+                   let before = !model in
+                   Buffer_cache.insert c ~file:f ~page:p;
+                   model := model_insert cap before (f, p);
+                   (* The model's victim, if any, left the cache too. *)
+                   List.for_all
+                     (fun k -> List.mem k !model || not (resident k))
+                     before
+               | Touch (f, p) ->
+                   let hit = Buffer_cache.touch c ~file:f ~page:p in
+                   let mhit = List.mem (f, p) !model in
+                   if mhit then model := (f, p) :: List.filter (( <> ) (f, p)) !model;
+                   hit = mhit
+               | Mem (f, p) -> resident (f, p) = List.mem (f, p) !model
+               | Remove (f, p) ->
+                   Buffer_cache.remove c ~file:f ~page:p;
+                   drop (f, p);
+                   true
+               | Drop_file f ->
+                   Buffer_cache.drop_file c f;
+                   model := List.filter (fun (f', _) -> f' <> f) !model;
+                   true
+               | Clear ->
+                   Buffer_cache.clear c;
+                   model := [];
+                   true
+             in
+             answer_ok
+             && Buffer_cache.size c = List.length !model
+             && List.for_all resident !model)
+           ops))
+
+(* ------------------------------------------------------------------ *)
+(* Allocation: the page cache and [Env.read_page] are host plumbing on
+   every simulated page access, so in steady state they allocate
+   nothing. *)
+
+(* Minor-heap words [f ()] allocates, net of the measurement itself. *)
+let words_of f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  measure f -. measure ignore
+
+let check_no_alloc name f =
+  f ();
+  Alcotest.(check (float 0.0)) (name ^ " allocates nothing") 0.0 (words_of f)
+
+let test_cache_ops_allocate_nothing () =
+  let c = Buffer_cache.create ~capacity_pages:64 in
+  let each lo hi op () =
+    for p = lo to hi do
+      op ~file:(p mod 5) ~page:p
+    done
+  in
+  check_no_alloc "insert + evict" (each 0 499 (Buffer_cache.insert c));
+  check_no_alloc "touch hit"
+    (each 450 499 (fun ~file ~page -> ignore (Buffer_cache.touch c ~file ~page)));
+  check_no_alloc "touch miss"
+    (each 0 99 (fun ~file ~page -> ignore (Buffer_cache.touch c ~file ~page)));
+  (* Each measured thunk refills what it dropped; closures are built
+     outside the measurement. *)
+  let remove = each 440 499 (Buffer_cache.remove c)
+  and refill = each 440 499 (Buffer_cache.insert c) in
+  check_no_alloc "remove" (fun () ->
+      remove ();
+      refill ());
+  check_no_alloc "drop_file" (fun () ->
+      Buffer_cache.drop_file c 3;
+      refill ())
+
+let test_read_page_allocates_nothing () =
+  let env = mk_env () in
+  let f = Sfile.create env in
+  Sfile.append_pages env f 64;
+  let file = Sfile.id f in
+  check_no_alloc "read_page hit" (fun () ->
+      for _ = 1 to 100 do
+        Env.read_page env ~file ~page:63
+      done);
+  let misses = (Env.stats env).Io_stats.cache_misses in
+  (* 64 pages cycled through a 4-page cache: every read misses. *)
+  check_no_alloc "read_page miss" (fun () ->
+      for p = 0 to 63 do
+        Env.read_page env ~file ~page:p
+      done);
+  Alcotest.(check int) "all misses" (misses + 128)
+    (Env.stats env).Io_stats.cache_misses
+
 (* ------------------------------------------------------------------ *)
 (* Env cost accounting *)
 
@@ -315,6 +445,9 @@ let () =
           Alcotest.test_case "packed key bounds" `Quick
             test_cache_packed_key_bounds;
           prop_cache_matches_model;
+          prop_cache_differential;
+          Alcotest.test_case "ops allocate nothing" `Quick
+            test_cache_ops_allocate_nothing;
         ] );
       ( "env",
         [
@@ -328,6 +461,8 @@ let () =
             test_write_cost_and_caching;
           Alcotest.test_case "cpu charges" `Quick test_charges;
           Alcotest.test_case "ssd cheap random" `Quick test_ssd_cheaper_random;
+          Alcotest.test_case "read_page allocates nothing" `Quick
+            test_read_page_allocates_nothing;
         ] );
       ( "sfile",
         [
