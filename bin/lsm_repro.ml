@@ -163,6 +163,32 @@ let inspect_cmd =
           amplification plus per-component state")
     Term.(const run $ scale_arg $ json_arg $ queries_arg)
 
+(* Flags shared by `serve` and `faultsim`, validated by one check. *)
+let maint_workers_arg =
+  let doc =
+    "Modeled maintenance workers per partition; with more than one, \
+     independent merges overlap deterministically."
+  in
+  Arg.(value & opt int 1 & info [ "maint-workers" ] ~docv:"N" ~doc)
+
+let mem_shards_arg =
+  let doc =
+    "Memory shards per tree: memory components flush one full shard at a \
+     time (the serving budget evicts single shards, so sibling shards keep \
+     absorbing writes; faultsim's drive phase rotates per-shard flushes)."
+  in
+  Arg.(value & opt int 1 & info [ "mem-shards" ] ~docv:"N" ~doc)
+
+(* Usage errors exit 2. *)
+let require_positive flags =
+  List.iter
+    (fun (flag, v) ->
+      if v < 1 then begin
+        Printf.eprintf "--%s must be >= 1\n" flag;
+        exit 2
+      end)
+    flags
+
 let serve_cmd =
   let module Driver = Lsm_serve.Driver in
   let partitions_arg =
@@ -219,32 +245,32 @@ let serve_cmd =
     in
     Arg.(value & opt_all string [] & info [ "chaos" ] ~docv:"SPEC" ~doc)
   in
+  (* Front-door policy flags: they shape graceful degradation, so they
+     need a fault plan. *)
+  let policy_arg kind names ~docv doc =
+    Arg.(value & opt (some kind) None & info names ~docv ~doc)
+  in
   let deadline_arg =
-    let doc =
+    policy_arg Arg.float [ "deadline-us" ] ~docv:"US"
       "Per-request read deadline in simulated microseconds (chaos runs): \
-       later answers are errors, hopeless queueing fails fast.  0 disables."
-    in
-    Arg.(value & opt float 0.0 & info [ "deadline-us" ] ~docv:"US" ~doc)
+       later answers are errors, hopeless queueing fails fast.  0 (the \
+       default) disables."
   in
   let shed_backlog_arg =
-    let doc =
+    policy_arg Arg.float [ "shed-backlog" ] ~docv:"US"
       "Admission-control backlog cap in simulated microseconds (chaos \
        runs): shed a request when every partition it needs has more \
-       queued work than this.  0 disables."
-    in
-    Arg.(value & opt float 0.0 & info [ "shed-backlog" ] ~docv:"US" ~doc)
+       queued work than this.  0 (the default) disables."
   in
   let retries_arg =
-    let doc = "Front-door retry budget per partition piece (chaos runs)." in
-    Arg.(value & opt int 1 & info [ "retries" ] ~docv:"N" ~doc)
+    policy_arg Arg.int [ "retries" ] ~docv:"N"
+      "Front-door retry budget per partition piece (chaos runs; default 1)."
   in
   let hedge_arg =
-    let doc =
+    policy_arg Arg.float [ "hedge-us" ] ~docv:"US"
       "Hedging threshold in simulated microseconds (chaos runs): a point \
-       read slower than this gets one hedged re-attempt.  0 derives \
-       deadline/2 when a deadline is set; negative disables."
-    in
-    Arg.(value & opt float 0.0 & info [ "hedge-us" ] ~docv:"US" ~doc)
+       read slower than this gets one hedged re-attempt.  0 (the default) \
+       derives deadline/2 when a deadline is set; negative disables."
   in
   let strategy_arg =
     let doc = "Delete-handling strategy: $(b,validation) or $(b,bitmap)." in
@@ -290,20 +316,6 @@ let serve_cmd =
     let doc = "Timeline window width, in simulated milliseconds." in
     Arg.(value & opt float 100.0 & info [ "window-ms" ] ~docv:"MS" ~doc)
   in
-  let maint_workers_arg =
-    let doc =
-      "Modeled maintenance workers per partition; with more than one, \
-       independent merges overlap deterministically."
-    in
-    Arg.(value & opt int 1 & info [ "maint-workers" ] ~docv:"N" ~doc)
-  in
-  let mem_shards_arg =
-    let doc =
-      "Memory shards per tree: the budget evicts one full shard at a \
-       time, so sibling shards keep absorbing writes during a flush."
-    in
-    Arg.(value & opt int 1 & info [ "mem-shards" ] ~docv:"N" ~doc)
-  in
   let run scale partitions rate sweep duration seed users arrivals chaos
       deadline_us shed_backlog_us retries hedge_us strategy json timeline
       timeline_csv slos window_ms maint_workers mem_shards metrics =
@@ -311,14 +323,8 @@ let serve_cmd =
     check_writable json;
     check_writable timeline;
     check_writable timeline_csv;
-    if maint_workers < 1 then begin
-      Printf.eprintf "--maint-workers must be >= 1\n";
-      exit 2
-    end;
-    if mem_shards < 1 then begin
-      Printf.eprintf "--mem-shards must be >= 1\n";
-      exit 2
-    end;
+    require_positive
+      [ ("maint-workers", maint_workers); ("mem-shards", mem_shards) ];
     if sweep && timeline <> None then begin
       Printf.eprintf "--timeline records a single run; drop --sweep\n";
       exit 2
@@ -349,7 +355,17 @@ let serve_cmd =
       Printf.eprintf "--chaos runs a single faulted run; drop --sweep\n";
       exit 2
     end;
-    if retries < 0 then begin
+    if
+      faults = []
+      && (deadline_us <> None || shed_backlog_us <> None || retries <> None
+         || hedge_us <> None)
+    then begin
+      Printf.eprintf
+        "--deadline-us, --shed-backlog, --retries and --hedge-us shape a \
+         chaos run's degradation; add --chaos\n";
+      exit 2
+    end;
+    if Option.value ~default:0 retries < 0 then begin
       Printf.eprintf "--retries must be >= 0\n";
       exit 2
     end;
@@ -380,12 +396,14 @@ let serve_cmd =
         chaos = faults;
         mix = (if faults = [] then cfg.Driver.mix else Driver.chaos_mix);
         policy =
-          {
-            Lsm_serve.Chaos.deadline_us;
-            retries;
-            hedge_us;
-            shed_backlog_us;
-          };
+          (let d = Lsm_serve.Chaos.default_policy in
+           let ( |? ) v default = Option.value ~default v in
+           {
+             Lsm_serve.Chaos.deadline_us = deadline_us |? d.deadline_us;
+             retries = retries |? d.retries;
+             hedge_us = hedge_us |? d.hedge_us;
+             shed_backlog_us = shed_backlog_us |? d.shed_backlog_us;
+           });
       }
     in
     Printf.printf
@@ -406,64 +424,32 @@ let serve_cmd =
         | p -> Lsm_serve.Serve_report.publish (List.nth p (List.length p - 1)) reg);
         Lsm_serve.Serve_report.sweep_to_json cfg sw
       end
-      else if faults <> [] then begin
-        let ts =
-          match timeline with
-          | None -> None
-          | Some _ ->
-              Some
-                (Lsm_obs.Timeseries.create ~window_us:(window_ms *. 1000.0) ())
-        in
-        let checker = Lsm_serve.Chaos_checker.create ~partitions () in
-        let verdict = ref None in
-        let c =
-          Driver.run_chaos ?timeline:ts
-            ~on_preload:(Lsm_serve.Chaos_checker.preload checker)
-            ~observe:(Lsm_serve.Chaos_checker.observe checker)
-            ~probe:(fun lookup ->
-              verdict :=
-                Some (Lsm_serve.Chaos_checker.verify checker ~probe:lookup))
-            cfg
-        in
-        Lsm_harness.Report.print
-          (Lsm_serve.Serve_report.chaos_report ?checker:!verdict c);
-        (match ts with
-        | Some ts ->
-            Lsm_harness.Report.print
-              (Lsm_serve.Serve_report.timeline_report c.Driver.c_base ts
-                 objectives);
-            (match timeline with
-            | Some path ->
-                Lsm_obs.Json.write ~path
-                  (Lsm_serve.Serve_report.timeline_to_json c.Driver.c_base ts
-                     objectives);
-                Printf.printf "wrote timeline document to %s\n" path
-            | None -> ());
-            (match timeline_csv with
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Lsm_obs.Timeseries.to_csv ts);
-                close_out oc;
-                Printf.printf "wrote timeline CSV to %s\n" path
-            | None -> ())
-        | None -> ());
-        Lsm_serve.Serve_report.publish c.Driver.c_base reg;
-        (match !verdict with
-        | Some v when not (Lsm_serve.Chaos_checker.ok v) ->
-            checker_failed := true
-        | _ -> ());
-        Lsm_serve.Serve_report.chaos_to_json ?checker:!verdict c
-      end
       else begin
         let ts =
-          match timeline with
-          | None -> None
-          | Some _ ->
-              Some
-                (Lsm_obs.Timeseries.create ~window_us:(window_ms *. 1000.0) ())
+          Option.map
+            (fun _ ->
+              Lsm_obs.Timeseries.create ~window_us:(window_ms *. 1000.0) ())
+            timeline
         in
-        let r = Driver.run ?timeline:ts cfg in
-        Lsm_harness.Report.print (Lsm_serve.Serve_report.report r);
+        (* A chaos run is audited by the degraded-correctness checker. *)
+        let verdict = ref None in
+        let c =
+          match faults with
+          | [] -> Driver.run_chaos ?timeline:ts cfg
+          | _ ->
+              let checker = Lsm_serve.Chaos_checker.create ~partitions () in
+              Driver.run_chaos ?timeline:ts
+                ~on_preload:(Lsm_serve.Chaos_checker.preload checker)
+                ~observe:(Lsm_serve.Chaos_checker.observe checker)
+                ~probe:(fun lookup ->
+                  verdict :=
+                    Some (Lsm_serve.Chaos_checker.verify checker ~probe:lookup))
+                cfg
+        in
+        let r = c.Driver.c_base in
+        Lsm_harness.Report.print
+          (if faults = [] then Lsm_serve.Serve_report.report r
+           else Lsm_serve.Serve_report.chaos_report ?checker:!verdict c);
         (match ts with
         | Some ts ->
             Lsm_harness.Report.print
@@ -483,7 +469,12 @@ let serve_cmd =
             | None -> ())
         | None -> ());
         Lsm_serve.Serve_report.publish r reg;
-        Lsm_serve.Serve_report.to_json r
+        (match !verdict with
+        | Some v when not (Lsm_serve.Chaos_checker.ok v) ->
+            checker_failed := true
+        | _ -> ());
+        if faults = [] then Lsm_serve.Serve_report.to_json r
+        else Lsm_serve.Serve_report.chaos_to_json ?checker:!verdict c
       end
     in
     (match json with
@@ -566,20 +557,6 @@ let faultsim_cmd =
     in
     Arg.(value & opt int 1 & info [ "group-commit" ] ~docv:"N" ~doc)
   in
-  let maint_workers_arg =
-    let doc =
-      "Modeled maintenance workers: with more than one, independent merges \
-       overlap deterministically."
-    in
-    Arg.(value & opt int 1 & info [ "maint-workers" ] ~docv:"N" ~doc)
-  in
-  let mem_shards_arg =
-    let doc =
-      "Memory shards per tree: the drive phase rotates per-shard flushes, \
-       exercising the per-shard flush crash points."
-    in
-    Arg.(value & opt int 1 & info [ "mem-shards" ] ~docv:"N" ~doc)
-  in
   let point_arg =
     let doc = "Reproduce a single plan: fault point name (with --hit)." in
     Arg.(value & opt (some string) None & info [ "point" ] ~docv:"POINT" ~doc)
@@ -614,18 +591,12 @@ let faultsim_cmd =
   in
   let run seed txns points io corrupt intermittent validation group_commit
       maint_workers mem_shards list_points point hit kind fails =
-    if group_commit < 1 then begin
-      Printf.eprintf "--group-commit must be >= 1\n";
-      exit 2
-    end;
-    if maint_workers < 1 then begin
-      Printf.eprintf "--maint-workers must be >= 1\n";
-      exit 2
-    end;
-    if mem_shards < 1 then begin
-      Printf.eprintf "--mem-shards must be >= 1\n";
-      exit 2
-    end;
+    require_positive
+      [
+        ("group-commit", group_commit);
+        ("maint-workers", maint_workers);
+        ("mem-shards", mem_shards);
+      ];
     let cfg =
       {
         Sc.default_config with

@@ -93,7 +93,9 @@ cmp test/golden/serve_tl.csv /tmp/serve_tl_a.csv
 # and stay byte-identical across two same-seed runs — fault injection,
 # breakers, hedging, and shedding all run on the simulated clock, so any
 # timeline diff is nondeterminism in the chaos path.  Both WAL-backed
-# strategies are exercised.
+# strategies are exercised; the validation run's document and timeline
+# are also pinned against test/golden/, so a change that moves chaos
+# behaviour regenerates them and says why.
 for strategy in validation bitmap; do
   dune exec bin/lsm_repro.exe -- serve -s tiny --duration 0.3 --rate 1500 \
     --seed 7 --strategy "$strategy" \
@@ -109,6 +111,10 @@ for strategy in validation bitmap; do
   grep -q '"ok": true' /tmp/chaos_a.json
   cmp /tmp/chaos_tl_a.json /tmp/chaos_tl_b.json
   cmp /tmp/chaos_a.json /tmp/chaos_b.json
+  if [ "$strategy" = validation ]; then
+    cmp test/golden/chaos.json /tmp/chaos_a.json
+    cmp test/golden/chaos_tl.json /tmp/chaos_tl_a.json
+  fi
 done
 
 # --- bench checks ------------------------------------------------------

@@ -12,6 +12,11 @@
     partitions generally achieves near-linear speedup" (Sec. 6.1).  The
     scale-out ablation bench checks exactly that claim. *)
 
+(** [owner ~partitions pk] is the partition that owns primary key [pk]:
+    the one routing hash of the cluster. *)
+let owner ~partitions pk =
+  Lsm_bloom.Hashing.mix64 pk land max_int mod partitions
+
 module Make (R : Record.S) = struct
   module D = Dataset.Make (R)
 
@@ -34,8 +39,17 @@ module Make (R : Record.S) = struct
   let partition t i = t.parts.(i)
   let env t i = t.envs.(i)
 
-  let route t pk =
-    Lsm_bloom.Hashing.mix64 pk land max_int mod Array.length t.parts
+  let route t pk = owner ~partitions:(Array.length t.parts) pk
+
+  (* Each partition's keys of [pks], in reverse input order. *)
+  let owner_groups t pks =
+    let groups = Array.make (Array.length t.parts) [] in
+    Array.iter
+      (fun pk ->
+        let i = route t pk in
+        groups.(i) <- pk :: groups.(i))
+      pks;
+    groups
 
   (* ------------------------------------------------------------------ *)
   (* Ingestion: routed to one partition. *)
@@ -81,10 +95,9 @@ module Make (R : Record.S) = struct
       owning partition's primary index.  [emit] fires exactly once per
       input key, in per-partition fetch order. *)
   let point_query_batch ?lookup t pks ~emit =
-    let n = Array.length t.parts in
-    let groups = Array.make n [] in
-    Array.iter (fun pk -> let i = route t pk in groups.(i) <- pk :: groups.(i)) pks;
-    Array.iteri (fun i ks -> point_query_batch_part ?lookup t i ks ~emit) groups
+    Array.iteri
+      (fun i ks -> point_query_batch_part ?lookup t i ks ~emit)
+      (owner_groups t pks)
 
   (** [query_secondary_part t i ...] is one partition's share of a
       secondary fan-out — the unit a degraded front door can still

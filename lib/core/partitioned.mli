@@ -4,6 +4,11 @@
     to one partition, secondary queries fan out to all.  System wall-clock
     under partition parallelism is the slowest partition's clock. *)
 
+val owner : partitions:int -> int -> int
+(** [owner ~partitions pk]: the partition owning primary key [pk] — the
+    cluster's one routing hash, usable without a cluster (a reference
+    model keyed like the router). *)
+
 module Make (R : Record.S) : sig
   module D : module type of Dataset.Make (R)
 
@@ -21,6 +26,12 @@ module Make (R : Record.S) : sig
   val partition : t -> int -> D.t
   val env : t -> int -> Lsm_sim.Env.t
   val route : t -> int -> int
+  (** [owner ~partitions:(partitions t)]. *)
+
+  val owner_groups : t -> int array -> int list array
+  (** [owner_groups t pks]: element [i] holds the keys of [pks] that
+      partition [i] owns, in reverse input order — the per-partition
+      grouping of {!point_query_batch}. *)
 
   (** {1 Ingestion (routed)} *)
 

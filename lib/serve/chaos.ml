@@ -40,11 +40,6 @@ type action =
 
 type fault = { part : int; trigger : trigger; action : action }
 
-exception Overloaded of { backlog_us : float; cap_us : float }
-(** The typed admission-control rejection: the request was shed because
-    every partition it needed had more queued work than the configured
-    cap.  Counted, never silently dropped. *)
-
 (* ------------------------------------------------------------------ *)
 (* Spec grammar *)
 
@@ -210,9 +205,9 @@ type policy = {
           latency is the earlier of the two, the partition pays for
           both.  0 = auto (half the deadline); negative disables. *)
   shed_backlog_us : float;
-      (** admission control: shed a request (typed {!Overloaded}) when
-          every partition it needs has more than this much queued work.
-          0 disables. *)
+      (** admission control: shed a request when every partition it
+          needs has more than this much queued work — counted, never
+          silently dropped.  0 disables. *)
 }
 
 let default_policy =
@@ -280,6 +275,15 @@ module Breaker = struct
   let state t = t.st
   let opens t = t.opens
   let transitions t = List.rev t.transitions
+
+  (** [transitions_since t k]: the transitions after the first [k],
+      oldest first ([[]] without allocating when there are none). *)
+  let transitions_since t k =
+    let rec newest n = function
+      | x :: l when n > 0 -> x :: newest (n - 1) l
+      | _ -> []
+    in
+    List.rev (newest (List.length t.transitions - k) t.transitions)
 
   let goto t ~now st =
     t.st <- st;

@@ -110,8 +110,15 @@ type system = {
   mutable now_created : int;  (** newest creation time generated so far *)
 }
 
-let build ?(durable = false) cfg =
+(* A fault plan makes the cluster durable: every partition sits behind
+   a serial-WAL transactional wrapper, so acknowledged means durable and
+   a crashed partition recovers from its log. *)
+let build cfg =
   if cfg.partitions < 1 then invalid_arg "Driver: partitions >= 1";
+  let durable = cfg.chaos <> [] in
+  if durable && cfg.strategy = Strategy.Eager then
+    invalid_arg
+      "Driver: chaos runs need the WAL wrapper; Eager is unsupported";
   let cache_bytes =
     max (256 * 1024) (Scale.cache_bytes cfg.scale / cfg.partitions)
   in
@@ -153,18 +160,6 @@ let build ?(durable = false) cfg =
       | _ -> `Timestamp);
     now_created = 0;
   }
-
-(* Preload: ids [0, preload) exist before traffic starts — and since
-   Zipf item 0 is the most popular, the hot head of the population is
-   warm.  Closed-loop, under the global budget coordinator. *)
-let preload ?(f = fun (_ : Tweet.t) -> ()) sys cfg =
-  for id = 0 to cfg.preload - 1 do
-    let tw = Tweet.with_id sys.gen id in
-    if tw.Tweet.created_at > sys.now_created then
-      sys.now_created <- tw.Tweet.created_at;
-    ignore (Rt.exec sys.rt (Rt.Upsert tw));
-    f tw
-  done
 
 (* One request drawn from the mix; the Zipf population covers ids the
    preload never wrote, so point queries miss realistically and ingests
@@ -211,20 +206,250 @@ let gen_request sys cfg =
   end
 
 (* ------------------------------------------------------------------ *)
+(* The front door: one request, executed in per-partition pieces *)
+
+(** What the front door told the client — one event per arrival, in
+    arrival order.  A model-based checker ({!Chaos_checker}) replays the
+    acknowledged writes and audits every non-errored answer against the
+    fault-free semantics. *)
+type chaos_obs =
+  | O_ack of Rt.request  (** acknowledged (durable) write *)
+  | O_reject_dup  (** insert hit the uniqueness check; no state change *)
+  | O_point of int * Tweet.t option
+  | O_multi of { got : (int * Tweet.t option) list; err_parts : int list }
+      (** answered slots, plus partitions whose slots errored *)
+  | O_secondary of {
+      lo : int;
+      hi : int;
+      rows : Tweet.t list;
+      err_parts : int list;
+    }
+  | O_scan of {
+      tlo : int;
+      thi : int;
+      counts : (int * int) list;  (** (partition, rows) for answered slots *)
+      err_parts : int list;
+    }
+  | O_error of string  (** whole-request failure, by reason *)
+  | O_shed  (** admission control turned the request away *)
+
+(* A partition's part in the current request. *)
+type gate =
+  | Skip  (** not a target *)
+  | Go  (** admitted *)
+  | Failed  (** admitted, then errored past the retry budget *)
+  | Down  (** crashed and recovering: fast-failed *)
+  | Breaker  (** its circuit breaker is open *)
+
+let admitted = function Go | Failed -> true | Skip | Down | Breaker -> false
+let errored = function Failed | Down | Breaker -> true | Skip | Go -> false
+
+(* Per-request scratch of the front door, reused across requests. *)
+type door = {
+  rt : Rt.t;
+  retries : int;
+  hedge_us : float;  (** point-read hedging threshold; [infinity] = off *)
+  breakers : Chaos.Breaker.t array;
+  gate : gate array;
+  svc : float array;  (** simulated time the request spent per partition *)
+  observing : bool;  (** collect answer payloads for {!chaos_obs} *)
+  got : (int * Tweet.t option) list ref;  (** multi-get slots, newest first *)
+  emit : int -> Tweet.t option -> unit;  (** multi-get slot sink *)
+  mutable target : int;  (** owner of a single-key request *)
+  mutable groups : int list array;  (** multi-get keys per owner *)
+  mutable reply : Rt.reply;
+  mutable found : Tweet.t option;
+  mutable lat_us : float;  (** point-read latency the client sees *)
+  mutable rows : Tweet.t list;  (** secondary rows, newest first *)
+  mutable counts : (int * int) list;
+      (** scan (partition, rows), newest first *)
+}
+
+let door ~observing rt (policy : Chaos.policy) =
+  let n = P.partitions (Rt.partitioned rt) in
+  let got = ref [] in
+  {
+    rt;
+    retries = policy.Chaos.retries;
+    hedge_us = Chaos.hedge_trigger_us policy;
+    breakers = Array.init n (fun _ -> Chaos.Breaker.create ());
+    gate = Array.make n Skip;
+    svc = Array.make n 0.0;
+    observing;
+    got;
+    emit =
+      (if observing then fun pk r -> got := (pk, r) :: !got else fun _ _ -> ());
+    target = 0;
+    groups = [||];
+    reply = Rt.Wrote;
+    found = None;
+    lat_us = 0.0;
+    rows = [];
+    counts = [];
+  }
+
+(* Mark [req]'s target partitions [Go], the rest [Skip]. *)
+let aim x req =
+  let single =
+    match req with
+    | Rt.Insert r | Rt.Upsert r -> Rt.route x.rt (Tweet.primary_key r)
+    | Rt.Delete pk | Rt.Point pk -> Rt.route x.rt pk
+    | Rt.Multi_get pks ->
+        x.groups <- P.owner_groups (Rt.partitioned x.rt) pks;
+        -1
+    | Rt.Secondary _ | Rt.Time_range _ -> -1
+  in
+  x.target <- single;
+  for i = 0 to Array.length x.gate - 1 do
+    x.gate.(i) <-
+      (match req with
+      | Rt.Multi_get _ -> ( match x.groups.(i) with [] -> Skip | _ -> Go)
+      | Rt.Secondary _ | Rt.Time_range _ -> Go
+      | _ -> if i = single then Go else Skip)
+  done
+
+(* Partition [i]'s piece of [req]. *)
+let piece x req i =
+  match req with
+  | Rt.Insert _ | Rt.Upsert _ | Rt.Delete _ -> x.reply <- Rt.exec_write x.rt req
+  | Rt.Point pk ->
+      let env = P.env (Rt.partitioned x.rt) i in
+      let t0 = Lsm_sim.Env.now_us env in
+      x.found <- Rt.point_part x.rt pk;
+      x.lat_us <- Lsm_sim.Env.now_us env -. t0
+  | Rt.Multi_get _ -> Rt.multi_get_part x.rt i x.groups.(i) ~emit:x.emit
+  | Rt.Secondary { sec; lo; hi; mode } ->
+      let rs = Rt.secondary_part x.rt i ~sec ~lo ~hi ~mode in
+      if x.observing then x.rows <- List.rev_append rs x.rows
+  | Rt.Time_range { tlo; thi } ->
+      let c = Rt.time_range_part x.rt i ~tlo ~thi in
+      if x.observing then x.counts <- (i, c) :: x.counts
+
+(* The piece under the retry budget; a failed attempt's slots are
+   dropped. *)
+let rec attempt x req i k =
+  let got = !(x.got) in
+  match piece x req i with
+  | () -> true
+  | exception Lsm_sim.Resilience.Unrecoverable _ ->
+      x.got := got;
+      k < x.retries && attempt x req i (k + 1)
+
+let record x ~now i ok = Chaos.Breaker.record x.breakers.(i) ~now ~ok
+
+(** [exec x ~now req] runs [req]'s pieces on the partitions [x.gate]
+    admits, each under the retry budget, and feeds their breakers.
+    [None] is success — for a fan-out, some target answered and the
+    errored ones are marked [Failed] — and [Some reason] a failed
+    request.  An acknowledged write then enforces the global budget.  A
+    point read slower than the hedge threshold gets one hedged
+    re-attempt: the partition pays for both, the client sees the earlier
+    completion ([x.lat_us]). *)
+let exec x ~now req =
+  x.got := [];
+  x.rows <- [];
+  x.counts <- [];
+  match req with
+  | Rt.Multi_get _ | Rt.Secondary _ | Rt.Time_range _ ->
+      let targets = ref 0 and errors = ref 0 in
+      for i = 0 to Array.length x.gate - 1 do
+        match x.gate.(i) with
+        | Skip -> ()
+        | Go ->
+            incr targets;
+            let ok = attempt x req i 0 in
+            record x ~now i ok;
+            if not ok then begin
+              x.gate.(i) <- Failed;
+              incr errors
+            end
+        | Failed | Down | Breaker ->
+            incr targets;
+            incr errors
+      done;
+      if !errors >= !targets then Some "unavailable" else None
+  | Rt.Insert _ | Rt.Upsert _ | Rt.Delete _ | Rt.Point _ -> (
+      let i = x.target in
+      match x.gate.(i) with
+      | Down -> Some "down"
+      | Skip | Failed | Breaker -> Some "breaker"
+      | Go ->
+          let ok = attempt x req i 0 in
+          record x ~now i ok;
+          if not ok then Some "io"
+          else begin
+            (match req with
+            | Rt.Point _ ->
+                if x.lat_us > x.hedge_us then begin
+                  let d1 = x.lat_us and v = x.found in
+                  (match piece x req i with
+                  | () -> x.lat_us <- Float.min d1 (x.hedge_us +. x.lat_us)
+                  | exception Lsm_sim.Resilience.Unrecoverable _ ->
+                      x.lat_us <- d1);
+                  x.found <- v
+                end
+            | _ -> (
+                (* The write is acked even if an eviction it triggers
+                   fails; the budget retries next write. *)
+                try Budget.enforce (Rt.budget x.rt)
+                with Lsm_sim.Resilience.Unrecoverable _ -> ()));
+            None
+          end)
+
+(* One ungated request: the preload and the capacity probe. *)
+let serve_one x req =
+  aim x req;
+  Rt.snapshot x.rt;
+  ignore (exec x ~now:0.0 req);
+  Rt.service_into x.rt x.svc
+
+(* The client-visible answer of a successful request. *)
+let answer x req =
+  let err_parts () =
+    List.filter
+      (fun i -> errored x.gate.(i))
+      (List.init (Array.length x.gate) Fun.id)
+  in
+  match req with
+  | Rt.Insert _ | Rt.Upsert _ | Rt.Delete _ ->
+      if x.reply = Rt.Rejected then O_reject_dup else O_ack req
+  | Rt.Point pk -> O_point (pk, x.found)
+  | Rt.Multi_get _ ->
+      O_multi { got = List.rev !(x.got); err_parts = err_parts () }
+  | Rt.Secondary { lo; hi; _ } ->
+      O_secondary { lo; hi; rows = List.rev x.rows; err_parts = err_parts () }
+  | Rt.Time_range { tlo; thi } ->
+      O_scan { tlo; thi; counts = List.rev x.counts; err_parts = err_parts () }
+
+(* Preload: ids [0, preload) exist before traffic starts — and since
+   Zipf item 0 is the most popular, the hot head of the population is
+   warm.  Closed-loop, under the global budget coordinator. *)
+let preload ?(f = fun (_ : Tweet.t) -> ()) (sys : system) cfg =
+  let x = door ~observing:false sys.rt Chaos.default_policy in
+  for id = 0 to cfg.preload - 1 do
+    let tw = Tweet.with_id sys.gen id in
+    if tw.Tweet.created_at > sys.now_created then
+      sys.now_created <- tw.Tweet.created_at;
+    serve_one x (Rt.Upsert tw);
+    f tw
+  done
+
+(* ------------------------------------------------------------------ *)
 (* Capacity estimation *)
 
 (** [estimate_capacity cfg] runs a short closed-loop probe on a fresh
     system and reports the aggregate rate (requests per simulated
     second) at which the busiest partition saturates — the open-loop
     sweeps anchor their rate ladders to this. *)
-let estimate_capacity ?(ops = 1500) ?(durable = false) (cfg : config) =
-  let sys = build ~durable cfg in
+let estimate_capacity ?(ops = 1500) (cfg : config) =
+  let sys = build cfg in
   preload sys cfg;
+  let x = door ~observing:false sys.rt Chaos.default_policy in
   let busy = Array.make cfg.partitions 0.0 in
   for _ = 1 to ops do
     let _, req = gen_request sys cfg in
-    let o = Rt.exec sys.rt req in
-    Array.iteri (fun i d -> busy.(i) <- busy.(i) +. d) o.Rt.service_us
+    serve_one x req;
+    Array.iteri (fun i d -> busy.(i) <- busy.(i) +. d) x.svc
   done;
   let bottleneck = Array.fold_left Float.max 0.0 busy in
   if bottleneck <= 0.0 then 0.0 else Float.of_int ops *. 1e6 /. bottleneck
@@ -276,6 +501,7 @@ type result = {
 
 type sample = {
   s_cls : op_class;
+  s_phase : int;  (** index into [phases] *)
   arrival_us : float;
   queue_us : float;
   service_us : float;
@@ -300,7 +526,7 @@ let stats_of name samples =
     mean_service_us = mean (List.map (fun s -> s.service_us) samples);
   }
 
-let collect_resil sys partitions =
+let collect_resil (sys : system) partitions =
   List.init partitions (fun i ->
       let s = Lsm_sim.Env.resil (P.env (Rt.partitioned sys.rt) i) in
       {
@@ -325,243 +551,6 @@ let maintenance_spans =
     "lsm.view.build";
     "maint.job";
   ]
-
-(** [run ?timeline cfg] executes one open-loop run.  With
-    [cfg.rate_rps <= 0] the rate is set to 70% of a fresh capacity
-    estimate.  Deterministic for a fixed seed.
-
-    When [timeline] is given, every completion feeds it: per-class
-    latency histograms stamped at the request's *completion* on the
-    arrival timeline, per-partition busy time / backlog / memtable
-    gauges, budget-eviction counters, and flight-recorder events for
-    evictions and the maintenance spans inside them.  All
-    instrumentation is read-only against the simulated clocks, so a
-    run's result is identical with the timeline on or off. *)
-let run ?timeline (cfg : config) =
-  let capacity_rps, cfg =
-    if cfg.rate_rps > 0.0 then (0.0, cfg)
-    else begin
-      let cap = estimate_capacity cfg in
-      if cap <= 0.0 then invalid_arg "Driver.run: capacity estimate is zero";
-      (cap, { cfg with rate_rps = 0.7 *. cap })
-    end
-  in
-  let sys = build cfg in
-  preload sys cfg;
-  (* Timeline plumbing.  Partition clocks are independent of the arrival
-     timeline, and a request's start is only known *after* execution
-     (the free-horizon start depends on which partitions it involved) —
-     so span hooks buffer maintenance spans during execution, and the
-     per-partition clock snapshots in [c0] translate them afterwards:
-     run_ts = start + (span_start − c0).  Hooks go in after the preload;
-     preload maintenance happens before the timeline's time zero. *)
-  let c0 = Array.make cfg.partitions 0.0 in
-  let spanbuf = ref [] in
-  (match timeline with
-  | None -> ()
-  | Some _ ->
-      for i = 0 to cfg.partitions - 1 do
-        Lsm_sim.Env.set_span_hook
-          (P.env (Rt.partitioned sys.rt) i)
-          (fun sp ->
-            if List.mem sp.Lsm_sim.Env.sp_name maintenance_spans then
-              spanbuf := (i, sp) :: !spanbuf)
-      done);
-  let arr =
-    Arrivals.create ~seed:((cfg.seed * 131) + 7) ~rate_rps:cfg.rate_rps
-      cfg.arrivals
-  in
-  let horizon_us = cfg.duration_s *. 1e6 in
-  let free = Array.make cfg.partitions 0.0 in
-  let samples = ref [] in
-  let n_req = ref 0 in
-  let rec loop a =
-    if a <= horizon_us then begin
-      let s_cls, req = gen_request sys cfg in
-      (match timeline with
-      | None -> ()
-      | Some _ ->
-          spanbuf := [];
-          for i = 0 to cfg.partitions - 1 do
-            c0.(i) <- Lsm_sim.Env.now_us (P.env (Rt.partitioned sys.rt) i)
-          done);
-      let o = Rt.exec sys.rt req in
-      (* Involved = structurally touched plus any partition whose clock
-         moved (a budget-triggered flush on another partition lands
-         there and delays only requests routed to it). *)
-      let involved = ref o.Rt.touched in
-      Array.iteri
-        (fun i d -> if d > 0.0 && not (List.mem i !involved) then involved := i :: !involved)
-        o.Rt.service_us;
-      let start = List.fold_left (fun acc i -> Float.max acc free.(i)) a !involved in
-      let service_us =
-        List.fold_left (fun acc i -> Float.max acc o.Rt.service_us.(i)) 0.0 !involved
-      in
-      List.iter (fun i -> free.(i) <- start +. o.Rt.service_us.(i)) !involved;
-      (match timeline with
-      | None -> ()
-      | Some ts ->
-          let done_us = start +. service_us in
-          let lat = (start -. a) +. service_us in
-          Timeseries.observe ts ~at_us:done_us (class_name s_cls) lat;
-          Timeseries.observe ts ~at_us:done_us "all" lat;
-          Timeseries.set_max ts ~at_us:done_us "queue_us" (start -. a);
-          List.iter
-            (fun i ->
-              Timeseries.add ts ~at_us:done_us
-                (Printf.sprintf "p%d.busy_us" i)
-                o.Rt.service_us.(i);
-              Timeseries.set_last ts ~at_us:done_us
-                (Printf.sprintf "p%d.backlog_us" i)
-                (Float.max 0.0 (free.(i) -. a));
-              Timeseries.set_last ts ~at_us:done_us
-                (Printf.sprintf "p%d.mem_bytes" i)
-                (Float.of_int (P.mem_bytes_of (Rt.partitioned sys.rt) i)))
-            !involved;
-          Timeseries.set_last ts ~at_us:done_us "mem_bytes"
-            (Float.of_int (P.total_mem_bytes (Rt.partitioned sys.rt)));
-          List.iter
-            (fun (ev : Rt.eviction) ->
-              let ev_ts = start +. ev.Rt.ev_start_off_us in
-              Timeseries.count ts ~at_us:ev_ts "evictions" 1;
-              Timeseries.count ts ~at_us:ev_ts "flushes" ev.Rt.ev_flushes;
-              Timeseries.count ts ~at_us:ev_ts "merges" ev.Rt.ev_merges;
-              Timeseries.add ts ~at_us:ev_ts "evicted_bytes"
-                (Float.of_int ev.Rt.ev_bytes);
-              Timeseries.event ts ~start_us:ev_ts ~dur_us:ev.Rt.ev_dur_us
-                ~kind:"eviction" ~part:ev.Rt.ev_part
-                [
-                  ("bytes", ev.Rt.ev_bytes);
-                  ("flushes", ev.Rt.ev_flushes);
-                  ("merges", ev.Rt.ev_merges);
-                  ("merge_bytes", ev.Rt.ev_merge_bytes);
-                ])
-            o.Rt.evictions;
-          List.iter
-            (fun (i, (sp : Lsm_sim.Env.span_event)) ->
-              Timeseries.event ts
-                ~start_us:(start +. (sp.Lsm_sim.Env.sp_start_us -. c0.(i)))
-                ~dur_us:sp.Lsm_sim.Env.sp_dur_us ~kind:sp.Lsm_sim.Env.sp_name
-                ~part:i [])
-            (List.rev !spanbuf));
-      samples := { s_cls; arrival_us = a; queue_us = start -. a; service_us } :: !samples;
-      incr n_req;
-      loop (Arrivals.next arr)
-    end
-  in
-  loop (Arrivals.next arr);
-  (match timeline with
-  | None -> ()
-  | Some _ ->
-      for i = 0 to cfg.partitions - 1 do
-        Lsm_sim.Env.clear_span_hook (P.env (Rt.partitioned sys.rt) i)
-      done);
-  let samples = List.rev !samples in
-  let classes =
-    List.map
-      (fun c ->
-        stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) samples))
-      all_classes
-    @ [ stats_of "all" samples ]
-  in
-  let backlog =
-    Array.fold_left (fun acc f -> Float.max acc (f -. horizon_us)) 0.0 free
-  in
-  let backlog_frac = if horizon_us > 0.0 then backlog /. horizon_us else 0.0 in
-  let half = horizon_us /. 2.0 in
-  let q1 =
-    mean
-      (List.filter_map
-         (fun s -> if s.arrival_us < half then Some s.queue_us else None)
-         samples)
-  in
-  let q2 =
-    mean
-      (List.filter_map
-         (fun s -> if s.arrival_us >= half then Some s.queue_us else None)
-         samples)
-  in
-  let queue_growth = (q2 +. 1.0) /. (q1 +. 1.0) in
-  let b = Rt.budget sys.rt in
-  {
-    r_cfg = cfg;
-    rate_rps = cfg.rate_rps;
-    capacity_rps;
-    requests = !n_req;
-    classes;
-    backlog_frac;
-    queue_growth;
-    saturated = backlog_frac > 0.05;
-    budget_bytes = Budget.budget_bytes b;
-    peak_mem_bytes = Budget.peak_bytes b;
-    peak_pre_mem_bytes = Budget.peak_pre_bytes b;
-    evictions = Budget.evictions b;
-    resil = collect_resil sys cfg.partitions;
-  }
-
-(* ------------------------------------------------------------------ *)
-(* Load sweep *)
-
-type sweep_result = {
-  sw_capacity_rps : float;
-  points : result list;  (** one run per rung of the rate ladder *)
-  knee_rps : float option;
-      (** highest offered rate that did not saturate; [None] when every
-          rung saturated *)
-}
-
-(** [sweep cfg] anchors a rate ladder to a capacity estimate, runs each
-    rung on a fresh system (same seed), and reports the knee: the
-    highest rate whose run stayed below saturation.  The default ladder
-    straddles the estimate so the knee is demonstrated from both
-    sides. *)
-let sweep ?(fractions = [ 0.3; 0.6; 0.85; 1.1; 1.5 ]) (cfg : config) =
-  let cap = estimate_capacity cfg in
-  if cap <= 0.0 then invalid_arg "Driver.sweep: capacity estimate is zero";
-  let points =
-    List.map (fun f -> run { cfg with rate_rps = f *. cap }) fractions
-  in
-  let knee_rps =
-    List.fold_left
-      (fun acc r ->
-        if r.saturated then acc
-        else
-          match acc with
-          | Some best when best >= r.rate_rps -> acc
-          | _ -> Some r.rate_rps)
-      None points
-  in
-  { sw_capacity_rps = cap; points; knee_rps }
-
-(* ------------------------------------------------------------------ *)
-(* Chaos runs: scheduled partition faults under open-loop load *)
-
-(** What the front door told the client — one event per arrival, in
-    arrival order.  A model-based checker ({!Chaos_checker}) replays the
-    acknowledged writes and audits every non-errored answer against the
-    fault-free semantics. *)
-type chaos_obs =
-  | O_ack of Rt.request  (** acknowledged (durable) write *)
-  | O_reject_dup  (** insert hit the uniqueness check; no state change *)
-  | O_point of int * Tweet.t option
-  | O_multi of { got : (int * Tweet.t option) list; err_parts : int list }
-      (** answered slots, plus partitions whose slots errored *)
-  | O_secondary of {
-      lo : int;
-      hi : int;
-      rows : Tweet.t list;
-      err_parts : int list;
-    }
-  | O_scan of {
-      tlo : int;
-      thi : int;
-      counts : (int * int) list;  (** (partition, rows) for answered slots *)
-      err_parts : int list;
-    }
-  | O_error of string  (** whole-request failure, by reason *)
-  | O_shed  (** admission control turned the request away *)
-
-let phases = [ "healthy"; "degraded"; "recovering" ]
 
 type chaos_result = {
   c_base : result;
@@ -606,11 +595,18 @@ type fault_rt = {
   mutable healed : bool;  (** corruption repaired (Corrupt only) *)
 }
 
-(** [run_chaos ?timeline ?observe ?probe cfg] executes one open-loop run
-    against a *durable* cluster (every partition behind a serial-WAL
-    transactional wrapper, so acknowledged means durable) while
-    interpreting [cfg.chaos] on the arrival clock and degrading
-    gracefully per [cfg.policy]:
+let phases = [ "healthy"; "degraded"; "recovering" ]
+
+(** [run_chaos ?timeline ?on_preload ?observe ?probe cfg] executes one
+    open-loop run.  With [cfg.rate_rps <= 0] the rate is set to 70% of a
+    fresh capacity estimate.  Deterministic for a fixed seed, timeline
+    on or off.
+
+    A clean run ([cfg.chaos = []]) is the plain load run.  With a fault
+    plan the cluster is *durable* (every partition behind a serial-WAL
+    transactional wrapper, so acknowledged means durable), [cfg.chaos]
+    is interpreted on the arrival clock, and the front door degrades
+    gracefully per [cfg.policy] (which a clean run may also set):
 
     - a crashed partition loses its memory state and replays the WAL
       from the durable frontier while the rest of the fleet keeps
@@ -621,24 +617,23 @@ type fault_rt = {
       and probe them back to health (["breaker"] failures);
     - reads carry a deadline (fail-fast when queueing alone exceeds it),
       a bounded retry budget, and one hedged re-attempt;
-    - admission control sheds requests (typed {!Chaos.Overloaded}) when
-      every needed partition is over the backlog cap — counted, never
-      silently dropped.
+    - admission control sheds requests when every needed partition is
+      over the backlog cap — counted, never silently dropped.
+
+    When [timeline] is given, every completion feeds it: per-class
+    latency histograms stamped at the request's *completion* on the
+    arrival timeline, per-partition busy time / backlog / memtable
+    gauges, budget-eviction counters, and flight-recorder events for
+    evictions, the maintenance spans inside them and (with a plan) the
+    faults and breaker transitions.  All instrumentation is read-only
+    against the simulated clocks.
 
     [on_preload] sees each record ingested before traffic starts (so a
     checker can seed its model); [observe] sees one {!chaos_obs} per
     arrival; [probe] runs after the horizon with direct point-query
-    access for durability audits.  Deterministic for a fixed seed,
-    timeline on or off. *)
-let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
-    ?(observe = fun (_ : chaos_obs) -> ())
+    access for durability audits. *)
+let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ()) ?observe
     ?(probe = fun (_ : int -> Tweet.t option) -> ()) (cfg : config) =
-  (match cfg.strategy with
-  | Strategy.Eager ->
-      invalid_arg
-        "Driver.run_chaos: chaos runs need the WAL wrapper; Eager is \
-         unsupported"
-  | _ -> ());
   let n = cfg.partitions in
   List.iter
     (fun (f : Chaos.fault) ->
@@ -652,21 +647,29 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   let capacity_rps, cfg =
     if cfg.rate_rps > 0.0 then (0.0, cfg)
     else begin
-      let cap = estimate_capacity ~durable:true cfg in
-      if cap <= 0.0 then
-        invalid_arg "Driver.run_chaos: capacity estimate is zero";
+      let cap = estimate_capacity cfg in
+      if cap <= 0.0 then invalid_arg "Driver: capacity estimate is zero";
       (cap, { cfg with rate_rps = 0.7 *. cap })
     end
   in
+  let chaotic = cfg.chaos <> [] in
   let policy = cfg.policy in
   let deadline_us = policy.Chaos.deadline_us in
-  let hedge_us = Chaos.hedge_trigger_us policy in
-  let sys = build ~durable:true cfg in
+  let sys = build cfg in
   preload ~f:on_preload sys cfg;
   let rt = sys.rt in
   let pt = Rt.partitioned rt in
   let envof i = P.env pt i in
-  (* Timeline span plumbing, as in [run]. *)
+  let x = door ~observing:(observe <> None) rt policy in
+  let observe o = match observe with Some f -> f o | None -> () in
+  (* Timeline span plumbing.  Partition clocks are independent of the
+     arrival timeline, and a request's start is only known *after*
+     execution (the free-horizon start depends on which partitions it
+     involved) — so span hooks buffer maintenance spans during
+     execution, and the per-partition clock snapshots in [c0] translate
+     them afterwards: run_ts = start + (span_start − c0).  Hooks go in
+     after the preload; preload maintenance happens before the
+     timeline's time zero. *)
   let c0 = Array.make n 0.0 in
   let spanbuf = ref [] in
   (match timeline with
@@ -688,29 +691,35 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
           corrupt_hit = false;
         })
   in
-  for i = 0 to n - 1 do
-    let st = hooks.(i) in
-    Lsm_sim.Env.set_fault_hook (envof i) (fun point ->
-        if
-          String.length point >= 3 && String.equal (String.sub point 0 3) "io."
-        then begin
-          if st.corrupt_armed && String.equal point "io.write" then begin
-            st.corrupt_armed <- false;
-            st.corrupt_hit <- true;
-            raise
-              (Lsm_sim.Env.Injected_fault
-                 { kind = Lsm_sim.Env.Corrupt; point; hit = 1 })
-          end;
-          if st.io_on then begin
-            let k = st.io_count in
-            st.io_count <- k + 1;
-            if k mod st.io_cycle < st.io_fails then
+  if
+    List.exists
+      (fun (f : Chaos.fault) ->
+        match f.Chaos.action with
+        | Chaos.Io_window _ | Chaos.Corrupt -> true
+        | Chaos.Crash | Chaos.Slow _ -> false)
+      cfg.chaos
+  then
+    for i = 0 to n - 1 do
+      let st = hooks.(i) in
+      Lsm_sim.Env.set_fault_hook (envof i) (fun point ->
+          if String.starts_with ~prefix:"io." point then begin
+            if st.corrupt_armed && String.equal point "io.write" then begin
+              st.corrupt_armed <- false;
+              st.corrupt_hit <- true;
               raise
                 (Lsm_sim.Env.Injected_fault
-                   { kind = Lsm_sim.Env.Io_error; point; hit = k + 1 })
-          end
-        end)
-  done;
+                   { kind = Lsm_sim.Env.Corrupt; point; hit = 1 })
+            end;
+            if st.io_on then begin
+              let k = st.io_count in
+              st.io_count <- k + 1;
+              if k mod st.io_cycle < st.io_fails then
+                raise
+                  (Lsm_sim.Env.Injected_fault
+                     { kind = Lsm_sim.Env.Io_error; point; hit = k + 1 })
+            end
+          end)
+    done;
   let frts =
     List.map
       (fun f -> { f; fired = false; ends_at = 0.0; healed = false })
@@ -720,9 +729,7 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   let down_until = Array.make n 0.0 in
   let degraded_until = Array.make n 0.0 in
   let recovering_until = Array.make n 0.0 in
-  let breakers = Array.init n (fun _ -> Chaos.Breaker.create ()) in
   let drained = Array.make n 0 in
-  let breaker_events = ref 0 in
   let down_us = ref 0.0 in
   let ev ~start_us ~dur_us kind part detail =
     match timeline with
@@ -842,34 +849,24 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
         | _ -> false)
       frts
   in
+  (* Index into [phases]. *)
   let phase_of a =
     let any arr = Array.exists (fun t -> a < t) arr in
-    if any down_until || any degraded_until || corrupt_open () then "degraded"
-    else if any recovering_until then "recovering"
-    else "healthy"
+    if any down_until || any degraded_until || corrupt_open () then 1
+    else if any recovering_until then 2
+    else 0
   in
-  let drain_breakers () =
+  let drain_breakers ts =
     for i = 0 to n - 1 do
-      let trs = Chaos.Breaker.transitions breakers.(i) in
-      let fresh = List.filteri (fun k _ -> k >= drained.(i)) trs in
+      let fresh = Chaos.Breaker.transitions_since x.breakers.(i) drained.(i) in
       List.iter
         (fun (at, st) ->
-          incr breaker_events;
-          ev ~start_us:at ~dur_us:0.0
-            ("breaker." ^ Chaos.Breaker.state_name st)
-            i [])
-        fresh;
-      drained.(i) <- List.length trs
+          drained.(i) <- drained.(i) + 1;
+          Timeseries.event ts ~start_us:at ~dur_us:0.0
+            ~kind:("breaker." ^ Chaos.Breaker.state_name st)
+            ~part:i [])
+        fresh
     done
-  in
-  let with_attempts f =
-    let rec go k =
-      match f () with
-      | v -> Ok v
-      | exception Lsm_sim.Resilience.Unrecoverable _ ->
-          if k < policy.Chaos.retries then go (k + 1) else Error "io"
-    in
-    go 0
   in
   let arr =
     Arrivals.create ~seed:((cfg.seed * 131) + 7) ~rate_rps:cfg.rate_rps
@@ -879,336 +876,211 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
   let samples = ref [] in
   let n_req = ref 0 in
   let successes = ref 0 and partials = ref 0 and shed = ref 0 in
+  let phase_counts = Array.make (List.length phases) 0 in
   let fail_tbl = Hashtbl.create 8 in
-  let fail reason =
+  let fail a reason =
     Hashtbl.replace fail_tbl reason
-      (1 + Option.value ~default:0 (Hashtbl.find_opt fail_tbl reason))
+      (1 + Option.value ~default:0 (Hashtbl.find_opt fail_tbl reason));
+    observe (O_error reason);
+    match timeline with
+    | None -> ()
+    | Some ts ->
+        Timeseries.count ts ~at_us:a "errors" 1;
+        Timeseries.count ts ~at_us:a ("error." ^ reason) 1
   in
-  let phase_tbl = Hashtbl.create 4 in
-  let blocked_reason blocked =
-    match blocked with (_, `Down) :: _ -> "down" | _ -> "breaker"
+  let backlog i a = Float.max 0.0 (free.(i) -. a) in
+  (* Admission control: shed when every target is over the cap. *)
+  let overloaded a =
+    let cap = policy.Chaos.shed_backlog_us in
+    cap > 0.0
+    &&
+    let least = ref infinity in
+    Array.iteri
+      (fun i g -> if g <> Skip then least := Float.min !least (backlog i a))
+      x.gate;
+    !least > cap
+  in
+  let handle a ph s_cls req =
+    for i = 0 to n - 1 do
+      if x.gate.(i) = Go then
+        if a < down_until.(i) then begin
+          record x ~now:a i false;
+          x.gate.(i) <- Down
+        end
+        else
+          match Chaos.Breaker.admit x.breakers.(i) ~now:a with
+          | `Reject -> x.gate.(i) <- Breaker
+          | `Allow | `Probe -> ()
+    done;
+    (match timeline with
+    | None -> ()
+    | Some _ ->
+        spanbuf := [];
+        for i = 0 to n - 1 do
+          c0.(i) <- Lsm_sim.Env.now_us (envof i)
+        done);
+    Rt.snapshot rt;
+    let is_read = not (Rt.is_write req) in
+    let go = ref 0 and queue0 = ref 0.0 in
+    for i = 0 to n - 1 do
+      if x.gate.(i) = Go then begin
+        incr go;
+        queue0 := Float.max !queue0 (backlog i a)
+      end
+    done;
+    let err =
+      if is_read && deadline_us > 0.0 && !go > 0 && !queue0 >= deadline_us
+      then begin
+        (* The queue alone already blows the deadline: fail fast without
+           occupying the engine, and charge the slow partitions' error
+           budgets so their breakers start shedding. *)
+        for i = 0 to n - 1 do
+          if x.gate.(i) = Go then record x ~now:a i false
+        done;
+        Some "deadline"
+      end
+      else exec x ~now:a req
+    in
+    (* The request starts once every partition it involved is free: the
+       admitted ones plus any whose clock moved (a budget-triggered flush
+       on another partition lands there and delays only requests routed
+       to it).  Each partition that spent time is then busy for its own
+       share; one that spent none — a fast-failed target — keeps its
+       horizon. *)
+    let svc = x.svc in
+    Rt.service_into rt svc;
+    let start = ref a and svc_max = ref 0.0 in
+    for i = 0 to n - 1 do
+      if admitted x.gate.(i) || svc.(i) > 0.0 then begin
+        start := Float.max !start free.(i);
+        svc_max := Float.max !svc_max svc.(i)
+      end
+    done;
+    let start = !start in
+    for i = 0 to n - 1 do
+      if svc.(i) > 0.0 then free.(i) <- start +. svc.(i)
+    done;
+    let queue_us = start -. a in
+    let lat_svc = match req with Rt.Point _ -> x.lat_us | _ -> !svc_max in
+    match err with
+    | Some reason -> fail a reason
+    | None
+      when is_read && deadline_us > 0.0 && queue_us +. lat_svc > deadline_us
+      ->
+        fail a "deadline"
+    | None -> (
+        incr successes;
+        let partial = Array.exists errored x.gate in
+        if partial then incr partials;
+        if x.observing then observe (answer x req);
+        samples :=
+          {
+            s_cls;
+            s_phase = ph;
+            arrival_us = a;
+            queue_us;
+            service_us = lat_svc;
+          }
+          :: !samples;
+        match timeline with
+        | None -> ()
+        | Some ts ->
+            let done_us = start +. lat_svc in
+            let lat = queue_us +. lat_svc in
+            Timeseries.observe ts ~at_us:done_us (class_name s_cls) lat;
+            Timeseries.observe ts ~at_us:done_us "all" lat;
+            if chaotic then begin
+              Timeseries.observe ts ~at_us:done_us
+                ("phase." ^ List.nth phases ph)
+                lat;
+              if partial then Timeseries.count ts ~at_us:done_us "partials" 1
+            end;
+            Timeseries.set_max ts ~at_us:done_us "queue_us" queue_us;
+            let gauges i =
+              Timeseries.add ts ~at_us:done_us (Printf.sprintf "p%d.busy_us" i)
+                svc.(i);
+              Timeseries.set_last ts ~at_us:done_us
+                (Printf.sprintf "p%d.backlog_us" i)
+                (backlog i a);
+              Timeseries.set_last ts ~at_us:done_us
+                (Printf.sprintf "p%d.mem_bytes" i)
+                (Float.of_int (P.mem_bytes_of pt i))
+            in
+            (* Partitions only a side effect involved come first, highest
+               index first, then the admitted ones. *)
+            for i = n - 1 downto 0 do
+              if (not (admitted x.gate.(i))) && svc.(i) > 0.0 then gauges i
+            done;
+            for i = 0 to n - 1 do
+              if admitted x.gate.(i) then gauges i
+            done;
+            Timeseries.set_last ts ~at_us:done_us "mem_bytes"
+              (Float.of_int (P.total_mem_bytes pt));
+            List.iter
+              (fun (e : Rt.eviction) ->
+                let ev_ts = start +. e.Rt.ev_start_off_us in
+                Timeseries.count ts ~at_us:ev_ts "evictions" 1;
+                Timeseries.count ts ~at_us:ev_ts "flushes" e.Rt.ev_flushes;
+                Timeseries.count ts ~at_us:ev_ts "merges" e.Rt.ev_merges;
+                Timeseries.add ts ~at_us:ev_ts "evicted_bytes"
+                  (Float.of_int e.Rt.ev_bytes);
+                Timeseries.event ts ~start_us:ev_ts ~dur_us:e.Rt.ev_dur_us
+                  ~kind:"eviction" ~part:e.Rt.ev_part
+                  [
+                    ("bytes", e.Rt.ev_bytes);
+                    ("flushes", e.Rt.ev_flushes);
+                    ("merges", e.Rt.ev_merges);
+                    ("merge_bytes", e.Rt.ev_merge_bytes);
+                  ])
+              (Rt.evictions_since rt);
+            List.iter
+              (fun (i, (sp : Lsm_sim.Env.span_event)) ->
+                Timeseries.event ts
+                  ~start_us:(start +. (sp.Lsm_sim.Env.sp_start_us -. c0.(i)))
+                  ~dur_us:sp.Lsm_sim.Env.sp_dur_us ~kind:sp.Lsm_sim.Env.sp_name
+                  ~part:i [])
+              (List.rev !spanbuf))
   in
   let rec loop a =
     if a <= horizon_us then begin
       incr n_req;
-      fire_faults a !n_req;
-      heal_due a;
-      let ph = phase_of a in
-      Hashtbl.replace phase_tbl ph
-        (1 + Option.value ~default:0 (Hashtbl.find_opt phase_tbl ph));
-      let s_cls, req = gen_request sys cfg in
-      let targets = Rt.targets rt req in
-      let backlog i = Float.max 0.0 (free.(i) -. a) in
-      let min_backlog =
-        List.fold_left (fun acc i -> Float.min acc (backlog i)) infinity
-          targets
+      let ph =
+        if not chaotic then 0
+        else begin
+          fire_faults a !n_req;
+          heal_due a;
+          phase_of a
+        end
       in
-      let cap = policy.Chaos.shed_backlog_us in
-      (match
-         if cap > 0.0 && min_backlog > cap then
-           raise (Chaos.Overloaded { backlog_us = min_backlog; cap_us = cap })
-       with
-      | exception Chaos.Overloaded _ ->
-          incr shed;
-          observe O_shed;
-          (match timeline with
-          | None -> ()
-          | Some ts ->
-              Timeseries.count ts ~at_us:a "shed" 1;
-              Timeseries.event ts ~start_us:a ~dur_us:0.0 ~kind:"shed"
-                ~part:(List.hd targets) [])
-      | () ->
-          let gates =
-            List.map
-              (fun i ->
-                if a < down_until.(i) then begin
-                  Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                  (i, `Down)
-                end
-                else
-                  match Chaos.Breaker.admit breakers.(i) ~now:a with
-                  | `Reject -> (i, `Breaker)
-                  | `Allow | `Probe -> (i, `Go))
-              targets
-          in
-          let go =
-            List.filter_map (fun (i, g) -> if g = `Go then Some i else None)
-              gates
-          in
-          let blocked =
-            List.filter_map
-              (fun (i, g) -> if g <> `Go then Some (i, g) else None)
-              gates
-          in
-          (match timeline with
-          | None -> ()
-          | Some _ ->
-              spanbuf := [];
-              for i = 0 to n - 1 do
-                c0.(i) <- Lsm_sim.Env.now_us (envof i)
-              done);
-          Rt.snapshot rt;
-          let queue0 =
-            List.fold_left (fun acc i -> Float.max acc (backlog i)) 0.0 go
-          in
-          let outcome =
-            if
-              (not (Rt.is_write req))
-              && deadline_us > 0.0 && go <> [] && queue0 >= deadline_us
-            then begin
-              (* The queue alone already blows the deadline: fail fast
-                 without occupying the engine, and charge the slow
-                 partitions' error budgets so their breakers start
-                 shedding. *)
-              List.iter
-                (fun i -> Chaos.Breaker.record breakers.(i) ~now:a ~ok:false)
-                go;
-              Error "deadline"
-            end
-            else if Rt.is_write req then begin
-              match go with
-              | [ i ] -> (
-                  match with_attempts (fun () -> Rt.exec_write rt req) with
-                  | Ok reply ->
-                      (* The write is acked even if an eviction it
-                         triggers fails; the budget retries next write. *)
-                      (try Budget.enforce (Rt.budget rt)
-                       with Lsm_sim.Resilience.Unrecoverable _ -> ());
-                      Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                      Ok
-                        ( (match reply with
-                          | Rt.Rejected -> O_reject_dup
-                          | _ -> O_ack req),
-                          None,
-                          false )
-                  | Error r ->
-                      Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                      Error r)
-              | _ -> Error (blocked_reason blocked)
-            end
-            else begin
-              match req with
-              | Rt.Point pk -> (
-                  match go with
-                  | [ i ] -> (
-                      let env = envof i in
-                      let attempt () =
-                        let t0 = Lsm_sim.Env.now_us env in
-                        let v = Rt.point_part rt pk in
-                        (v, Lsm_sim.Env.now_us env -. t0)
-                      in
-                      match with_attempts attempt with
-                      | Error r ->
-                          Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                          Error r
-                      | Ok (v, d1) ->
-                          Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                          let lat =
-                            if d1 > hedge_us then begin
-                              (* One hedged re-attempt to the same
-                                 partition: it pays for both, the client
-                                 sees the earlier completion. *)
-                              match attempt () with
-                              | _, d2 -> Float.min d1 (hedge_us +. d2)
-                              | exception Lsm_sim.Resilience.Unrecoverable _
-                                ->
-                                  d1
-                            end
-                            else d1
-                          in
-                          Ok (O_point (pk, v), Some lat, false))
-                  | _ -> Error (blocked_reason blocked))
-              | Rt.Multi_get pks ->
-                  if go = [] then Error "unavailable"
-                  else begin
-                    let got = ref []
-                    and err_parts = ref (List.map fst blocked) in
-                    List.iter
-                      (fun i ->
-                        let mine =
-                          Array.to_list pks
-                          |> List.filter (fun pk -> Rt.route rt pk = i)
-                        in
-                        match
-                          with_attempts (fun () -> Rt.multi_get_part rt i mine)
-                        with
-                        | Ok slots ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                            got := !got @ slots
-                        | Error _ ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                            err_parts := i :: !err_parts)
-                      go;
-                    let err_parts = List.sort_uniq Int.compare !err_parts in
-                    if List.length err_parts >= List.length targets then
-                      Error "unavailable"
-                    else
-                      Ok
-                        ( O_multi { got = !got; err_parts },
-                          None,
-                          err_parts <> [] )
-                  end
-              | Rt.Secondary { sec; lo; hi; mode } ->
-                  if go = [] then Error "unavailable"
-                  else begin
-                    let rows = ref []
-                    and err_parts = ref (List.map fst blocked) in
-                    List.iter
-                      (fun i ->
-                        match
-                          with_attempts (fun () ->
-                              Rt.secondary_part rt i ~sec ~lo ~hi ~mode)
-                        with
-                        | Ok rs ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                            rows := !rows @ rs
-                        | Error _ ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                            err_parts := i :: !err_parts)
-                      go;
-                    let err_parts = List.sort_uniq Int.compare !err_parts in
-                    if List.length err_parts >= List.length targets then
-                      Error "unavailable"
-                    else
-                      Ok
-                        ( O_secondary { lo; hi; rows = !rows; err_parts },
-                          None,
-                          err_parts <> [] )
-                  end
-              | Rt.Time_range { tlo; thi } ->
-                  if go = [] then Error "unavailable"
-                  else begin
-                    let counts = ref []
-                    and err_parts = ref (List.map fst blocked) in
-                    List.iter
-                      (fun i ->
-                        match
-                          with_attempts (fun () ->
-                              Rt.time_range_part rt i ~tlo ~thi)
-                        with
-                        | Ok c ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:true;
-                            counts := (i, c) :: !counts
-                        | Error _ ->
-                            Chaos.Breaker.record breakers.(i) ~now:a ~ok:false;
-                            err_parts := i :: !err_parts)
-                      go;
-                    let err_parts = List.sort_uniq Int.compare !err_parts in
-                    if List.length err_parts >= List.length targets then
-                      Error "unavailable"
-                    else
-                      Ok
-                        ( O_scan
-                            { tlo; thi; counts = List.rev !counts; err_parts },
-                          None,
-                          err_parts <> [] )
-                  end
-              | Rt.Insert _ | Rt.Upsert _ | Rt.Delete _ -> assert false
-            end
-          in
-          let svc = Rt.service_since rt in
-          let involved = ref go in
-          Array.iteri
-            (fun i d ->
-              if d > 0.0 && not (List.mem i !involved) then
-                involved := i :: !involved)
-            svc;
-          let start =
-            List.fold_left (fun acc i -> Float.max acc free.(i)) a !involved
-          in
-          Array.iteri (fun i d -> if d > 0.0 then free.(i) <- start +. d) svc;
-          let queue_us = start -. a in
-          (match outcome with
-          | Ok (obs, lat_override, partial) ->
-              let svc_max =
-                List.fold_left
-                  (fun acc i -> Float.max acc svc.(i))
-                  0.0 !involved
-              in
-              let lat_svc =
-                match lat_override with Some l -> l | None -> svc_max
-              in
-              if
-                deadline_us > 0.0
-                && (not (Rt.is_write req))
-                && queue_us +. lat_svc > deadline_us
-              then begin
-                fail "deadline";
-                observe (O_error "deadline");
-                match timeline with
-                | None -> ()
-                | Some ts ->
-                    Timeseries.count ts ~at_us:a "errors" 1;
-                    Timeseries.count ts ~at_us:a "error.deadline" 1
-              end
-              else begin
-                incr successes;
-                if partial then incr partials;
-                observe obs;
-                samples :=
-                  (ph, { s_cls; arrival_us = a; queue_us; service_us = lat_svc })
-                  :: !samples;
-                match timeline with
-                | None -> ()
-                | Some ts ->
-                    let done_us = start +. lat_svc in
-                    let lat = queue_us +. lat_svc in
-                    Timeseries.observe ts ~at_us:done_us (class_name s_cls) lat;
-                    Timeseries.observe ts ~at_us:done_us "all" lat;
-                    Timeseries.observe ts ~at_us:done_us ("phase." ^ ph) lat;
-                    if partial then
-                      Timeseries.count ts ~at_us:done_us "partials" 1;
-                    Timeseries.set_max ts ~at_us:done_us "queue_us" queue_us;
-                    List.iter
-                      (fun i ->
-                        Timeseries.add ts ~at_us:done_us
-                          (Printf.sprintf "p%d.busy_us" i)
-                          svc.(i);
-                        Timeseries.set_last ts ~at_us:done_us
-                          (Printf.sprintf "p%d.backlog_us" i)
-                          (Float.max 0.0 (free.(i) -. a)))
-                      !involved;
-                    List.iter
-                      (fun (e : Rt.eviction) ->
-                        let ev_ts = start +. e.Rt.ev_start_off_us in
-                        Timeseries.count ts ~at_us:ev_ts "evictions" 1;
-                        Timeseries.event ts ~start_us:ev_ts
-                          ~dur_us:e.Rt.ev_dur_us ~kind:"eviction"
-                          ~part:e.Rt.ev_part
-                          [
-                            ("bytes", e.Rt.ev_bytes);
-                            ("flushes", e.Rt.ev_flushes);
-                            ("merges", e.Rt.ev_merges);
-                          ])
-                      (Rt.evictions_since rt);
-                    List.iter
-                      (fun (i, (sp : Lsm_sim.Env.span_event)) ->
-                        Timeseries.event ts
-                          ~start_us:
-                            (start +. (sp.Lsm_sim.Env.sp_start_us -. c0.(i)))
-                          ~dur_us:sp.Lsm_sim.Env.sp_dur_us
-                          ~kind:sp.Lsm_sim.Env.sp_name ~part:i [])
-                      (List.rev !spanbuf)
-              end
-          | Error reason ->
-              fail reason;
-              observe (O_error reason);
-              (match timeline with
-              | None -> ()
-              | Some ts ->
-                  Timeseries.count ts ~at_us:a "errors" 1;
-                  Timeseries.count ts ~at_us:a ("error." ^ reason) 1)));
-      drain_breakers ();
+      phase_counts.(ph) <- phase_counts.(ph) + 1;
+      let s_cls, req = gen_request sys cfg in
+      aim x req;
+      if overloaded a then begin
+        incr shed;
+        observe O_shed;
+        match timeline with
+        | None -> ()
+        | Some ts ->
+            let first = ref (-1) in
+            Array.iteri
+              (fun i g -> if !first < 0 && g <> Skip then first := i)
+              x.gate;
+            Timeseries.count ts ~at_us:a "shed" 1;
+            Timeseries.event ts ~start_us:a ~dur_us:0.0 ~kind:"shed"
+              ~part:!first []
+      end
+      else handle a ph s_cls req;
+      (match timeline with None -> () | Some ts -> drain_breakers ts);
       loop (Arrivals.next arr)
     end
   in
   loop (Arrivals.next arr);
   for i = 0 to n - 1 do
-    Lsm_sim.Env.clear_fault_hook (envof i);
-    Lsm_sim.Env.set_io_penalty (envof i) 1.0;
-    match timeline with
-    | None -> ()
-    | Some _ -> Lsm_sim.Env.clear_span_hook (envof i)
+    if chaotic then begin
+      Lsm_sim.Env.clear_fault_hook (envof i);
+      Lsm_sim.Env.set_io_penalty (envof i) 1.0
+    end;
+    if timeline <> None then Lsm_sim.Env.clear_span_hook (envof i)
   done;
   (* Corruption still unhealed at the horizon heals now, so the
      durability probe audits a fully repaired cluster. *)
@@ -1220,33 +1092,28 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
           frt.healed <- true
       | _ -> ())
     frts;
-  drain_breakers ();
+  Option.iter drain_breakers timeline;
   let samples = List.rev !samples in
-  let all = List.map snd samples in
-  let classes =
+  let table ss =
     List.map
-      (fun c ->
-        stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) all))
+      (fun c -> stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) ss))
       all_classes
-    @ [ stats_of "all" all ]
+    @ [ stats_of "all" ss ]
   in
+  let classes = table samples in
   let backlog =
     Array.fold_left (fun acc f -> Float.max acc (f -. horizon_us)) 0.0 free
   in
   let backlog_frac = if horizon_us > 0.0 then backlog /. horizon_us else 0.0 in
   let half = horizon_us /. 2.0 in
-  let q1 =
+  let mean_queue keep =
     mean
       (List.filter_map
-         (fun s -> if s.arrival_us < half then Some s.queue_us else None)
-         all)
+         (fun s -> if keep s.arrival_us then Some s.queue_us else None)
+         samples)
   in
-  let q2 =
-    mean
-      (List.filter_map
-         (fun s -> if s.arrival_us >= half then Some s.queue_us else None)
-         all)
-  in
+  let q1 = mean_queue (fun t -> t < half) in
+  let q2 = mean_queue (fun t -> t >= half) in
   let b = Rt.budget rt in
   let base =
     {
@@ -1265,36 +1132,6 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       resil = collect_resil sys cfg.partitions;
     }
   in
-  let failures = Hashtbl.fold (fun _ v acc -> acc + v) fail_tbl 0 in
-  let fail_reasons =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) fail_tbl []
-    |> List.sort (fun (k1, v1) (k2, v2) ->
-           match String.compare k1 k2 with
-           | 0 -> Int.compare v1 v2
-           | c -> c)
-  in
-  let phase_counts =
-    List.map
-      (fun ph ->
-        (ph, Option.value ~default:0 (Hashtbl.find_opt phase_tbl ph)))
-      phases
-  in
-  let phase_classes =
-    List.map
-      (fun phn ->
-        let ss =
-          List.filter_map
-            (fun (p, s) -> if String.equal p phn then Some s else None)
-            samples
-        in
-        ( phn,
-          List.map
-            (fun c ->
-              stats_of (class_name c) (List.filter (fun s -> s.s_cls = c) ss))
-            all_classes
-          @ [ stats_of "all" ss ] ))
-      phases
-  in
   let total = !n_req in
   let res =
     {
@@ -1303,22 +1140,73 @@ let run_chaos ?timeline ?(on_preload = fun (_ : Tweet.t) -> ())
       c_faults = List.map Chaos.describe cfg.chaos;
       successes = !successes;
       partials = !partials;
-      failures;
+      failures = Hashtbl.fold (fun _ v acc -> acc + v) fail_tbl 0;
       shed = !shed;
-      fail_reasons;
+      fail_reasons =
+        Hashtbl.fold (fun k v acc -> (k, v) :: acc) fail_tbl []
+        |> List.sort compare;
       availability =
         (if total = 0 then 1.0
          else Float.of_int !successes /. Float.of_int total);
       shed_rate =
         (if total = 0 then 0.0 else Float.of_int !shed /. Float.of_int total);
-      phase_counts;
-      phase_classes;
+      phase_counts = List.mapi (fun k ph -> (ph, phase_counts.(k))) phases;
+      phase_classes =
+        List.mapi
+          (fun k ph ->
+            (* A clean run is healthy throughout. *)
+            ( ph,
+              if k = 0 && not chaotic then classes
+              else table (List.filter (fun s -> s.s_phase = k) samples) ))
+          phases;
       breaker_opens =
-        Array.fold_left (fun acc b -> acc + Chaos.Breaker.opens b) 0 breakers;
-      breaker_transitions = !breaker_events;
+        Array.fold_left (fun acc b -> acc + Chaos.Breaker.opens b) 0 x.breakers;
+      breaker_transitions =
+        Array.fold_left
+          (fun acc b -> acc + List.length (Chaos.Breaker.transitions b))
+          0 x.breakers;
       down_us = !down_us;
       evictions_by = List.init n (Budget.evictions_of b);
     }
   in
   probe (fun pk -> P.point_query pt pk);
   res
+
+(** [run ?timeline cfg] is the clean-run view of {!run_chaos}: its
+    [c_base]. *)
+let run ?timeline cfg = (run_chaos ?timeline cfg).c_base
+
+(* ------------------------------------------------------------------ *)
+(* Load sweep *)
+
+type sweep_result = {
+  sw_capacity_rps : float;
+  points : result list;  (** one run per rung of the rate ladder *)
+  knee_rps : float option;
+      (** highest offered rate that did not saturate; [None] when every
+          rung saturated *)
+}
+
+(** [sweep cfg] anchors a rate ladder to a capacity estimate, runs each
+    rung on a fresh system (same seed), and reports the knee: the
+    highest rate whose run stayed below saturation.  The default ladder
+    straddles the estimate so the knee is demonstrated from both
+    sides. *)
+let sweep ?(fractions = [ 0.3; 0.6; 0.85; 1.1; 1.5 ]) (cfg : config) =
+  let cap = estimate_capacity cfg in
+  if cap <= 0.0 then invalid_arg "Driver.sweep: capacity estimate is zero";
+  let points =
+    List.map (fun f -> run { cfg with rate_rps = f *. cap }) fractions
+  in
+  let knee_rps =
+    List.fold_left
+      (fun acc r ->
+        if r.saturated then acc
+        else
+          match acc with
+          | Some best when best >= r.rate_rps -> acc
+          | _ -> Some r.rate_rps)
+      None points
+  in
+  { sw_capacity_rps = cap; points; knee_rps }
+

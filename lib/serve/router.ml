@@ -5,12 +5,13 @@
     Primary-key requests touch exactly the owning partition; multi-gets
     group keys by owner and use the batched point-lookup machinery of
     Sec. 3.2 within each partition; secondary and time-range queries fan
-    out to every partition.  Each request reports the simulated time it
-    consumed *per partition*, so an open-loop driver can model
-    partitions as parallel servers: a request's service time is the max
-    over the partitions it involved, and a budget-triggered flush on
-    some other partition shows up on that partition's clock, delaying
-    only requests routed there. *)
+    out to every partition.  The router runs a request in per-partition
+    pieces (so one failed partition costs only its own slots) and
+    reports the simulated time it consumed *per partition*, so an
+    open-loop driver can model partitions as parallel servers: a
+    request's service time is the max over the partitions it involved,
+    and a budget-triggered flush on some other partition shows up on
+    that partition's clock, delaying only requests routed there. *)
 
 module Make (R : Lsm_core.Record.S) = struct
   module P = Lsm_core.Partitioned.Make (R)
@@ -25,11 +26,7 @@ module Make (R : Lsm_core.Record.S) = struct
     | Secondary of { sec : string; lo : int; hi : int; mode : P.D.validation_mode }
     | Time_range of { tlo : int; thi : int }
 
-  type reply =
-    | Wrote
-    | Rejected  (** insert hit the uniqueness check *)
-    | Found of R.t option
-    | Rows of int
+  type reply = Wrote | Rejected  (** insert hit the uniqueness check *)
 
   (** One budget-triggered eviction observed during a request, for the
       telemetry timeline.  [ev_start_off_us] is the offset of the flush
@@ -44,16 +41,6 @@ module Make (R : Lsm_core.Record.S) = struct
     ev_flushes : int;  (** component flushes the eviction performed *)
     ev_merges : int;  (** merges it cascaded into *)
     ev_merge_bytes : int;  (** bytes rewritten by those merges *)
-  }
-
-  type outcome = {
-    reply : reply;
-    service_us : float array;
-        (** simulated time the request consumed on each partition
-            (including any budget-triggered flush it caused there) *)
-    touched : int list;  (** structurally involved partitions *)
-    evictions : eviction list;
-        (** budget evictions this request triggered, oldest first *)
   }
 
   type t = {
@@ -145,87 +132,14 @@ module Make (R : Lsm_core.Record.S) = struct
   let budget t = t.budget
   let durable t = Array.length t.txns > 0
 
-  let all_partitions t = List.init (P.partitions t.p) Fun.id
-
-  (* Owning partitions of a key set, deduplicated. *)
-  let owners t pks =
-    let n = P.partitions t.p in
-    let seen = Array.make n false in
-    Array.iter (fun pk -> seen.(P.route t.p pk) <- true) pks;
-    List.filter (fun i -> seen.(i)) (List.init n Fun.id)
-
   let is_write = function
     | Insert _ | Upsert _ | Delete _ -> true
     | Point _ | Multi_get _ | Secondary _ | Time_range _ -> false
 
-  (* Write primitives, routed through the WAL wrapper when durable (an
-     auto-committed transaction per write: acked = durable). *)
-  let do_insert t r =
-    let i = P.route t.p (R.primary_key r) in
-    if durable t then
-      if P.D.key_exists (P.partition t.p i) (R.primary_key r) then `Duplicate
-      else begin
-        T.upsert_auto t.txns.(i) r;
-        `Inserted
-      end
-    else P.insert t.p r
-
-  let do_upsert t r =
-    if durable t then T.upsert_auto t.txns.(P.route t.p (R.primary_key r)) r
-    else P.upsert t.p r
-
-  let do_delete t ~pk =
-    if durable t then T.delete_auto t.txns.(P.route t.p pk) ~pk
-    else P.delete t.p ~pk
-
-  (** [exec t req] runs one request to completion and reports where the
-      simulated time went. *)
-  let exec t req =
-    let n = P.partitions t.p in
-    t.evlog := [];
-    for i = 0 to n - 1 do
-      t.before.(i) <- Lsm_sim.Env.now_us (P.env t.p i)
-    done;
-    let reply, touched =
-      match req with
-      | Insert r ->
-          let reply =
-            match do_insert t r with
-            | `Inserted -> Wrote
-            | `Duplicate -> Rejected
-          in
-          (reply, [ P.route t.p (R.primary_key r) ])
-      | Upsert r ->
-          do_upsert t r;
-          (Wrote, [ P.route t.p (R.primary_key r) ])
-      | Delete pk ->
-          do_delete t ~pk;
-          (Wrote, [ P.route t.p pk ])
-      | Point pk -> (Found (P.point_query t.p pk), [ P.route t.p pk ])
-      | Multi_get pks ->
-          let found = ref 0 in
-          P.point_query_batch ~lookup:t.lookup t.p pks ~emit:(fun _ r ->
-              if r <> None then incr found);
-          (Rows !found, owners t pks)
-      | Secondary { sec; lo; hi; mode } ->
-          let rows = P.query_secondary t.p ~sec ~lo ~hi ~mode ~lookup:t.lookup () in
-          (Rows (List.length rows), all_partitions t)
-      | Time_range { tlo; thi } ->
-          let rows = P.query_time_range t.p ~tlo ~thi ~f:(fun _ -> ()) in
-          (Rows rows, all_partitions t)
-    in
-    if is_write req then Budget.enforce t.budget;
-    let service_us =
-      Array.init n (fun i -> Lsm_sim.Env.now_us (P.env t.p i) -. t.before.(i))
-    in
-    { reply; service_us; touched; evictions = List.rev !(t.evlog) }
-
   (* ------------------------------------------------------------------ *)
-  (* Chaos session API: the degraded front door executes a request in
-     per-partition pieces (so one failed partition costs only its own
-     slots), with the driver deciding gating, retries, and hedging
-     between pieces.  [snapshot]/[service_since] bracket the whole
-     request exactly like [exec] does internally. *)
+  (* Per-partition pieces.  [snapshot] and [service_into] bracket one
+     request: the driver decides gating, retries and hedging between
+     the pieces. *)
 
   let snapshot t =
     t.evlog := [];
@@ -233,49 +147,52 @@ module Make (R : Lsm_core.Record.S) = struct
       t.before.(i) <- Lsm_sim.Env.now_us (P.env t.p i)
     done
 
-  let service_since t =
-    Array.init (P.partitions t.p) (fun i ->
-        Lsm_sim.Env.now_us (P.env t.p i) -. t.before.(i))
+  (** [service_into t svc] stores in [svc.(i)] the simulated time partition
+      [i] spent since the last {!snapshot}. *)
+  let service_into t svc =
+    for i = 0 to P.partitions t.p - 1 do
+      svc.(i) <- Lsm_sim.Env.now_us (P.env t.p i) -. t.before.(i)
+    done
 
   let evictions_since t = List.rev !(t.evlog)
 
   let route t pk = P.route t.p pk
 
-  (** [targets t req] is the partition set the request structurally
-      needs (fan-outs: every partition). *)
-  let targets t req =
-    match req with
-    | Insert r | Upsert r -> [ P.route t.p (R.primary_key r) ]
-    | Delete pk | Point pk -> [ P.route t.p pk ]
-    | Multi_get pks -> owners t pks
-    | Secondary _ | Time_range _ -> all_partitions t
-
-  (** [exec_write t req] performs a (single-partition) write — acked
-      means durable when the router is.  Budget enforcement is the
-      caller's separate step: the write is already acknowledged when an
-      eviction it triggers fails, and conflating the two would make an
-      eviction error look like a lost write. *)
+  (** [exec_write t req] performs a (single-partition) write, routed
+      through the WAL wrapper when durable (an auto-committed
+      transaction per write: acked = durable).  Budget enforcement is
+      the caller's separate step: the write is already acknowledged
+      when an eviction it triggers fails, and conflating the two would
+      make an eviction error look like a lost write. *)
   let exec_write t req =
     match req with
-    | Insert r -> (
-        match do_insert t r with `Inserted -> Wrote | `Duplicate -> Rejected)
+    | Insert r ->
+        let pk = R.primary_key r in
+        if not (durable t) then
+          match P.insert t.p r with `Inserted -> Wrote | `Duplicate -> Rejected
+        else if P.D.key_exists (P.partition t.p (P.route t.p pk)) pk then
+          Rejected
+        else begin
+          T.upsert_auto t.txns.(P.route t.p pk) r;
+          Wrote
+        end
     | Upsert r ->
-        do_upsert t r;
+        if durable t then T.upsert_auto t.txns.(P.route t.p (R.primary_key r)) r
+        else P.upsert t.p r;
         Wrote
     | Delete pk ->
-        do_delete t ~pk;
+        if durable t then T.delete_auto t.txns.(P.route t.p pk) ~pk
+        else P.delete t.p ~pk;
         Wrote
-    | _ -> invalid_arg "Router.exec_write: not a write"
+    | Point _ | Multi_get _ | Secondary _ | Time_range _ ->
+        invalid_arg "Router.exec_write: not a write"
 
   let point_part t pk = P.point_query t.p pk
 
-  (** [multi_get_part t i pks] answers the multi-get slots owned by
-      partition [i], as (key, record option) pairs in fetch order. *)
-  let multi_get_part t i pks =
-    let out = ref [] in
-    P.point_query_batch_part ~lookup:t.lookup t.p i pks ~emit:(fun pk r ->
-        out := (pk, r) :: !out);
-    List.rev !out
+  (** [multi_get_part t i pks ~emit] answers the multi-get slots owned by
+      partition [i], calling [emit] per key in fetch order. *)
+  let multi_get_part t i pks ~emit =
+    P.point_query_batch_part ~lookup:t.lookup t.p i pks ~emit
 
   let secondary_part t i ~sec ~lo ~hi ~mode =
     P.query_secondary_part t.p i ~sec ~lo ~hi ~mode ~lookup:t.lookup ()

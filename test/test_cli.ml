@@ -378,6 +378,17 @@ let test_serve_chaos_bad_specs () =
   Alcotest.(check int) "unknown strategy exits 2" 2
     (run [ "serve"; "-s"; "tiny"; "--strategy"; "eager" ])
 
+(* The front-door policy flags only shape a faulted run: alone they are
+   usage errors, not silently ignored. *)
+let test_serve_policy_needs_chaos () =
+  List.iter
+    (fun flag ->
+      Alcotest.(check int) (flag ^ " without --chaos exits 2") 2
+        (run [ "serve"; "-s"; "tiny"; flag; "1" ]))
+    [ "--deadline-us"; "--shed-backlog"; "--retries"; "--hedge-us" ];
+  Alcotest.(check int) "negative --retries exits 2" 2
+    (run [ "serve"; "-s"; "tiny"; "--chaos"; "crash@p0@t5ms"; "--retries=-1" ])
+
 let test_serve_chaos_json () =
   let path = Filename.temp_file "serve_chaos" ".json" in
   Alcotest.(check int) "chaos run passes its checker" 0
@@ -497,6 +508,8 @@ let () =
             test_serve_chaos_bad_specs;
           Alcotest.test_case "chaos run + document" `Quick
             test_serve_chaos_json;
+          Alcotest.test_case "policy flags need --chaos" `Quick
+            test_serve_policy_needs_chaos;
         ] );
       ( "faultsim",
         [

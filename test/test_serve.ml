@@ -436,6 +436,148 @@ let test_timeline_byte_identical () =
   Alcotest.(check string) "timeline JSON byte-identical across runs" j1 j2;
   Alcotest.(check string) "timeline CSV byte-identical across runs" c1 c2
 
+(* ------------------------------------------------------------------ *)
+(* Clean runs pinned bit for bit: full results recorded before the
+   clean and chaos paths shared one loop, on the benchmark's
+   50/30/10/6/4 mix (multi-gets included) across strategies, memory
+   shards and maintenance workers.  Floats print as %h, so any moved
+   simulated charge fails here. *)
+
+let render (r : Driver.result) =
+  let b = Buffer.create 1024 in
+  let p fmt = Printf.bprintf b fmt in
+  p "rate=%h cap=%h req=%d backlog=%h growth=%h sat=%b" r.Driver.rate_rps
+    r.Driver.capacity_rps r.Driver.requests r.Driver.backlog_frac
+    r.Driver.queue_growth r.Driver.saturated;
+  p " budget=%d peak=%d pre=%d ev=%d" r.Driver.budget_bytes
+    r.Driver.peak_mem_bytes r.Driver.peak_pre_mem_bytes r.Driver.evictions;
+  List.iter
+    (fun (c : Driver.class_stats) ->
+      p "\n%s n=%d %h %h %h q=%h s=%h" c.Driver.cls c.Driver.count
+        c.Driver.p50_us c.Driver.p95_us c.Driver.p99_us c.Driver.mean_queue_us
+        c.Driver.mean_service_us)
+    r.Driver.classes;
+  List.iter
+    (fun (x : Driver.part_resil) ->
+      p "\np%d %d %d %d %d %d" x.Driver.pr_part x.Driver.pr_retries
+        x.Driver.pr_exhausted x.Driver.pr_checksum x.Driver.pr_quarantines
+        x.Driver.pr_rebuilds)
+    r.Driver.resil;
+  Buffer.contents b
+
+let pin_cfg ~seed ~strategy ~mem_shards ~maint_workers =
+  let cfg = Driver.config ~partitions:4 Lsm_harness.Scale.tiny in
+  {
+    cfg with
+    Driver.rate_rps = 1200.0;
+    duration_s = 0.2;
+    mix =
+      {
+        Driver.ingest = 0.5;
+        point = 0.3;
+        multi = 0.1;
+        secondary = 0.06;
+        scan = 0.04;
+      };
+    seed;
+    strategy;
+    mem_shards;
+    maint_workers;
+  }
+
+let pin_cases =
+  let module S = Lsm_core.Strategy in
+  [
+    ( "validation",
+      pin_cfg ~seed:3 ~strategy:S.validation ~mem_shards:1 ~maint_workers:1 );
+    ( "bitmap shards=4",
+      pin_cfg ~seed:4 ~strategy:S.mutable_bitmap ~mem_shards:4 ~maint_workers:1
+    );
+    ( "eager workers=2",
+      pin_cfg ~seed:5 ~strategy:S.eager ~mem_shards:1 ~maint_workers:2 );
+    ( "validation shards=4 workers=2",
+      pin_cfg ~seed:6 ~strategy:S.validation ~mem_shards:4 ~maint_workers:2 );
+  ]
+
+let pinned =
+  [
+    ("validation",
+     "rate=0x1.2cp+10 cap=0x0p+0 req=239 backlog=0x0p+0 growth=0x1.30de20b0a4263p+2 sat=false budget=416666 peak=416656 pre=417277 ev=34\n\
+      ingest n=121 0x1.666666664p-2 0x1.85b8914f9469p+12 0x1.0820f2902a03p+13 q=0x1.8193877f933fbp+10 s=0x1.f74886ba8p-3\n\
+      point n=72 0x1.3170a3d70a4p+9 0x1.23e73143aa8f8p+13 0x1.685b09ca3ecap+13 q=0x1.33b89d88c94a2p+11 s=0x1.cd5c4d5e6f872p+7\n\
+      multi n=25 0x1.3e64fa3839cep+11 0x1.19a9b0f73c4ep+13 0x1.73edc1c44835p+13 q=0x1.7159f938d3c85p+11 s=0x1.f71f1a9fbe84dp+9\n\
+      secondary n=10 0x1.0dec26a81d7bp+12 0x1.1cd5692789f88p+13 0x1.1cd5692789f88p+13 q=0x1.0fdf59f92b93dp+11 s=0x1.719a41893939ap+11\n\
+      scan n=11 0x1.82f085bf610bp+12 0x1.bd37aa2d875p+13 0x1.bd37aa2d875p+13 q=0x1.2b1f272ab7eccp+11 s=0x1.502cbfc46d3b9p+12\n\
+      all n=239 0x1.39605d90c07p+9 0x1.15763d314021p+13 0x1.73edc1c44835p+13 q=0x1.fc2b2420a5613p+10 s=0x1.111326dc5024dp+9\n\
+      p0 0 0 0 0 0\n\
+      p1 0 0 0 0 0\n\
+      p2 0 0 0 0 0\n\
+      p3 0 0 0 0 0");
+    ("bitmap shards=4",
+     "rate=0x1.2cp+10 cap=0x0p+0 req=233 backlog=0x0p+0 growth=0x1.f021ed3cf21a6p+0 sat=false budget=416666 peak=416661 pre=417274 ev=114\n\
+      ingest n=119 0x1.699999999p+1 0x1.abd853d5161ep+12 0x1.f09b5c28f5f4p+12 q=0x1.20e4e23de78b9p+10 s=0x1.8e1f1b733843cp+6\n\
+      point n=62 0x1.316f5c28f5cp+9 0x1.2421126251c2p+12 0x1.041f59b33d47p+13 q=0x1.8dae0e922273bp+9 s=0x1.dac3387c33811p+7\n\
+      multi n=28 0x1.4565c28f5c3p+10 0x1.c7e7d84bdc2dp+12 0x1.f580ee7ca5ccp+12 q=0x1.8f6b34bad1628p+10 s=0x1.dbdf564efe8aep+9\n\
+      secondary n=18 0x1.cfb5778b049bp+11 0x1.27bc51b8a57a8p+13 0x1.27bc51b8a57a8p+13 q=0x1.1d49c0a2dd659p+10 s=0x1.a0107ae149ad5p+11\n\
+      scan n=6 0x1.c10803887eccp+11 0x1.41dd7dc0b604p+13 0x1.41dd7dc0b604p+13 q=0x1.d816106b6031p+11 s=0x1.3134e81b5326bp+10\n\
+      all n=233 0x1.31a47ae147bp+9 0x1.bff843b69256p+12 0x1.08e2ef8c802f8p+13 q=0x1.26cf0468ce515p+10 s=0x1.027951e045bdp+9\n\
+      p0 0 0 0 0 0\n\
+      p1 0 0 0 0 0\n\
+      p2 0 0 0 0 0\n\
+      p3 0 0 0 0 0");
+    ("eager workers=2",
+     "rate=0x1.2cp+10 cap=0x0p+0 req=243 backlog=0x0p+0 growth=0x1.0f811278b5a95p-1 sat=false budget=416666 peak=416639 pre=417249 ev=34\n\
+      ingest n=125 0x1.318e147ae148p+9 0x1.004b20afbf53p+13 0x1.48396bbbdc8fp+13 q=0x1.f5705d507c504p+10 s=0x1.6ce809d4951f6p+7\n\
+      point n=72 0x1.3171eb851eb8p+9 0x1.1a02e5795ae8fp+13 0x1.61a16cedd749p+13 q=0x1.41fdb6ef8e5d5p+11 s=0x1.fdee41fdb978ep+7\n\
+      multi n=24 0x1.273068c9a36ep+12 0x1.12c0f864e91bp+13 0x1.7c1ede0f87dbp+13 q=0x1.c3466d0c445bdp+11 s=0x1.fdb1b4e81b558p+9\n\
+      secondary n=14 0x1.101770a3d718p+12 0x1.61f3fe3a6ac08p+13 0x1.61f3fe3a6ac08p+13 q=0x1.501e0da25715p+11 s=0x1.8ebfb9c86ab03p+11\n\
+      scan n=8 0x1.08607a4deae78p+13 0x1.790c0abe5badp+13 0x1.790c0abe5badp+13 q=0x1.7394c2033360ap+11 s=0x1.5698b33334d4p+12\n\
+      all n=243 0x1.3536bf4fb34ap+10 0x1.2a131a15139b8p+13 0x1.6af745d68cfdp+13 q=0x1.2c8b419864423p+11 s=0x1.3d29fc09f2acep+9\n\
+      p0 0 0 0 0 0\n\
+      p1 0 0 0 0 0\n\
+      p2 0 0 0 0 0\n\
+      p3 0 0 0 0 0");
+    ("validation shards=4 workers=2",
+     "rate=0x1.2cp+10 cap=0x0p+0 req=229 backlog=0x1.d34d7b4daee63p-9 growth=0x1.8e715012857d4p+1 sat=false budget=416666 peak=416662 pre=417277 ev=114\n\
+      ingest n=119 0x1.ef1f00fc42bp+7 0x1.d473f7dd1f72p+12 0x1.281aed213031p+13 q=0x1.c1a0309743582p+10 s=0x1.439b7e3c66c1ap+4\n\
+      point n=65 0x1.313851eb852p+9 0x1.29223cc66e53p+13 0x1.7abd92dc892ap+13 q=0x1.5f2e6fa703c7fp+10 s=0x1.07939d10db437p+8\n\
+      multi n=22 0x1.5f06936da684p+11 0x1.6451a621ee08p+12 0x1.acb5150e264ep+12 q=0x1.cb40da78d8bp+10 s=0x1.3f83244e3246fp+10\n\
+      secondary n=13 0x1.168a51eb93dep+12 0x1.86bc1f922a9ap+13 0x1.86bc1f922a9ap+13 q=0x1.e90c952500ffep+10 s=0x1.b4cbc74945b05p+11\n\
+      scan n=10 0x1.a9e880d15472p+12 0x1.c040e0b3c89bp+13 0x1.c040e0b3c89bp+13 q=0x1.57c9b00f19fd3p+11 s=0x1.3d6f624dd502ap+12\n\
+      all n=229 0x1.219c2290d0cp+10 0x1.281aed213031p+13 0x1.7abd92dc892ap+13 q=0x1.b33c9dab38fa1p+10 s=0x1.3a21fa8b6e77ap+9\n\
+      p0 0 0 0 0 0\n\
+      p1 0 0 0 0 0\n\
+      p2 0 0 0 0 0\n\
+      p3 0 0 0 0 0");
+  ]
+
+let test_pinned_results () =
+  List.iter
+    (fun (name, cfg) ->
+      Alcotest.(check string)
+        name (List.assoc name pinned)
+        (render (Driver.run cfg)))
+    pin_cases
+
+let test_pinned_capacity () =
+  let _, cfg = List.hd pin_cases in
+  Alcotest.(check string)
+    "estimate_capacity ~ops:400" "0x1.11e08a815031ep+11"
+    (Printf.sprintf "%h" (Driver.estimate_capacity ~ops:400 cfg))
+
+(* The last case's timeline, JSON and CSV, by digest. *)
+let test_pinned_timeline () =
+  let _, cfg = List.nth pin_cases 3 in
+  let ts = Timeseries.create ~window_us () in
+  let r = Driver.run ~timeline:ts cfg in
+  let o = { Slo.series = "multi"; quantile = 0.99; threshold_us = 1500.0 } in
+  Alcotest.(check string)
+    "timeline digest" "27589372c7a4403a657b394b8ec5b31c"
+    (Digest.to_hex
+       (Digest.string
+          (Lsm_obs.Json.to_string (Serve_report.timeline_to_json r ts [ o ])
+          ^ Timeseries.to_csv ts)))
+
 let () =
   Alcotest.run "lsm_serve"
     [
@@ -489,5 +631,11 @@ let () =
             test_timeline_noninvasive;
           Alcotest.test_case "exports byte-identical for a seed" `Quick
             test_timeline_byte_identical;
+        ] );
+      ( "pinned",
+        [
+          Alcotest.test_case "clean results" `Quick test_pinned_results;
+          Alcotest.test_case "capacity estimate" `Quick test_pinned_capacity;
+          Alcotest.test_case "clean timeline" `Quick test_pinned_timeline;
         ] );
     ]
